@@ -102,9 +102,12 @@ def _serve_rounds(aug, engine, rounds):
     latencies = []
     served_last = {}
     for round_patches in rounds:
-        for (head, tail), scale in round_patches:
-            aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * scale)
-        engine.revalidate()  # what the optimizer flush paths call
+
+        def apply(round_patches=round_patches):
+            for (head, tail), scale in round_patches:
+                aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * scale)
+
+        engine.publish(apply)  # what the optimizer flush paths call
         for query in queries:
             start = time.perf_counter()
             served = engine.scores_for_query(query, targets)

@@ -493,7 +493,7 @@ def _cmd_lint(args) -> int:
     # inside the per-file visitor.
     if rules is None or "R007" in rules:
         violations.extend(find_dead_series(args.paths))
-    # R008-R011 need the call graph and shared-state registry; they run
+    # R008 and R010 need the call graph and shared-state registry; they run
     # over the whole tree via the concurrency analyzer.
     graph_rules = GRAPH_RULES if rules is None else rules & GRAPH_RULES
     if graph_rules:
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=3)
 
     lint = sub.add_parser(
-        "lint", help="run the project's custom AST lint rules (R001-R011)"
+        "lint", help="run the project's custom AST lint rules (R001-R008, R010)"
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -666,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="concurrency-safety analysis: call graph, shared-state "
-             "inventory, serve-path purity (R008-R011)",
+             "inventory, serve-path purity (R008, R010)",
     )
     analyze.add_argument(
         "paths", nargs="*", default=["src"],
@@ -674,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--rules", nargs="+", metavar="R00X", default=None,
-        help="restrict findings to these rule ids (default: R008-R011)",
+        help="restrict findings to these rule ids (default: R008 R010)",
     )
     analyze.add_argument(
         "--format", choices=["table", "json"], default="table",

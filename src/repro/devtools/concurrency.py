@@ -1,9 +1,9 @@
-"""Shared-mutable-state analyzer: rules R008-R011 over the call graph.
+"""Shared-mutable-state analyzer: rules R008 and R010 over the call graph.
 
 This is the enforcement half of :mod:`repro.utils.sync`: that module
 *declares* which state is cross-thread-visible and under what
 discipline; this one proves, statically, that the tree honors the
-declarations — before any optimizer thread exists to race.  Four rules:
+declarations.  Two rules:
 
 R008 (lock discipline / ownership)
     Every write to a declared :data:`~repro.utils.sync.SHARED_STATE`
@@ -13,15 +13,6 @@ R008 (lock discipline / ownership)
     (``__init__`` of the declaring class) and module-scope definitions
     are pre-publication and exempt.
 
-R009 (frozen escape analysis)
-    Stores into a ``frozen``-guarded mapping must store ndarrays that
-    were visibly frozen — a ``name.setflags(write=False)`` in the same
-    function, or a value read back out of the frozen mapping itself.
-    Tracks local aliases (a dict later rebound onto the attribute) and
-    the declared :data:`~repro.utils.sync.FROZEN_RETURNS` boundary
-    functions' ``return``/``yield`` sites.  This is the static form of
-    the PR 5 cache-poison bug: a writable vector escaping into the LRU.
-
 R010 (serve-path purity)
     No function reachable from a ``@serve_path`` root may call
     blocking I/O (``fsync``, write-mode ``open``, ``subprocess``,
@@ -30,15 +21,10 @@ R010 (serve-path purity)
     :mod:`repro.devtools.callgraph`; ``@serve_exempt`` functions are
     declared barriers and are reported, not traversed.
 
-R011 (cache re-key discipline)
-    States declaring ``rekey_apis`` (the epoch-keyed score cache) may
-    only gain, re-key, or rebind entries inside those methods —
-    eviction (``pop``/``clear``) is allowed anywhere in the owner.
-
 ``analyze_paths`` returns an :class:`AnalysisReport` (inventory +
 serve-path purity report + findings, renderable as a table or JSON);
 ``find_concurrency_violations`` is the thin adapter ``repro-kg lint``
-uses so R008-R011 ride the same gate as R001-R007.
+uses so R008 and R010 ride the same gate as R001-R007.
 """
 
 from __future__ import annotations
@@ -54,12 +40,7 @@ from repro.devtools.callgraph import (
     build_call_graph,
 )
 from repro.devtools.lint import LintViolation, _noqa_rules, format_violations
-from repro.utils.sync import (
-    FROZEN_RETURNS,
-    SHARED_STATE,
-    SharedState,
-    shared_state_by_attr,
-)
+from repro.utils.sync import SHARED_STATE, SharedState, shared_state_by_attr
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -71,7 +52,7 @@ __all__ = [
 
 #: The rules this module implements (descriptions live in
 #: :data:`repro.devtools.lint.RULES` alongside R001-R007).
-CONCURRENCY_RULES = frozenset({"R008", "R009", "R010", "R011"})
+CONCURRENCY_RULES = frozenset({"R008", "R010"})
 
 #: External call targets that block or touch durable storage — never
 #: acceptable in serve-reachable code (R010).
@@ -101,10 +82,6 @@ _MUTATING_CALLS = frozenset(
         "popleft", "move_to_end",
     }
 )
-
-#: The subset of mutations that *create or re-key* entries (R011);
-#: eviction stays legal outside the declared revalidation APIs.
-_CREATING_CALLS = frozenset({"update", "setdefault"})
 
 
 @dataclass
@@ -180,23 +157,19 @@ def analyze_paths(
     *,
     rules: "set[str] | None" = None,
     shared_state: "tuple[SharedState, ...] | None" = None,
-    frozen_returns: "tuple[str, ...] | None" = None,
 ) -> AnalysisReport:
     """Run the concurrency analysis over ``paths``.
 
-    ``shared_state`` / ``frozen_returns`` default to the package
-    registry in :mod:`repro.utils.sync`; tests inject synthetic ones.
+    ``shared_state`` defaults to the package registry in
+    :mod:`repro.utils.sync`; tests inject synthetic ones.
     """
     for entry in paths:
         if not Path(entry).exists():
             raise FileNotFoundError(f"no such file or directory: {entry}")
     active = set(rules) if rules is not None else set(CONCURRENCY_RULES)
     states = shared_state if shared_state is not None else SHARED_STATE
-    returns = (
-        frozen_returns if frozen_returns is not None else FROZEN_RETURNS
-    )
     graph = build_call_graph(paths)
-    analyzer = _Analyzer(graph, states, returns)
+    analyzer = _Analyzer(graph, states)
     analyzer.run()
 
     seen: "set[tuple[str, str, int]]" = set()
@@ -220,7 +193,6 @@ def analyze_paths(
             "owner": s.owner,
             "serve_safe": s.serve_safe,
             "writers": list(s.writers),
-            "rekey_apis": list(s.rekey_apis),
             "writes": analyzer.write_counts.get(s.name, 0),
             "description": s.description,
         }
@@ -247,7 +219,7 @@ def find_concurrency_violations(
     rules: "set[str] | None" = None,
     shared_state: "tuple[SharedState, ...] | None" = None,
 ) -> "list[LintViolation]":
-    """R008-R011 findings in ``repro-kg lint`` shape."""
+    """R008/R010 findings in ``repro-kg lint`` shape."""
     report = analyze_paths(paths, rules=rules, shared_state=shared_state)
     return report.violations
 
@@ -291,7 +263,6 @@ class _Site:
     line: int
     col: int
     op: str  #: rebind | augassign | subscript | call:<method> | delete
-    value: "ast.expr | None" = None
 
 
 class _Analyzer:
@@ -299,12 +270,10 @@ class _Analyzer:
         self,
         graph: CallGraph,
         states: "tuple[SharedState, ...]",
-        frozen_returns: "tuple[str, ...]",
     ) -> None:
         self.graph = graph
         self.states = states
         self.by_attr = shared_state_by_attr(states)
-        self.frozen_returns = set(frozen_returns)
         self.violations: "list[LintViolation]" = []
         self.write_counts: "dict[str, int]" = {}
         self.reach = graph.reachable(
@@ -316,7 +285,6 @@ class _Analyzer:
             for s in states
             if s.lock_name is not None and not s.serve_safe
         }
-        self.frozen_attrs = {s.attr for s in states if s.frozen}
 
     def run(self) -> None:
         for mod in self.graph.modules.values():
@@ -403,7 +371,7 @@ class _Analyzer:
 
 
 class _ModuleScanner:
-    """One module's R008/R009/R011 pass with lexical context tracking."""
+    """One module's R008 pass with lexical context tracking."""
 
     def __init__(self, analyzer: _Analyzer, mod: ModuleInfo) -> None:
         self.a = analyzer
@@ -459,8 +427,6 @@ class _ModuleScanner:
                 if isinstance(sub, ast.Global)
                 for name in sub.names
             )
-            if func is None:
-                self._check_frozen_stores(node, cls)
             self._visit_body(
                 node.body,
                 cls=cls,
@@ -521,18 +487,14 @@ class _ModuleScanner:
         sites: "list[_Site]" = []
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                sites.extend(self._target_sites(target, "rebind", node.value))
+                sites.extend(self._target_sites(target, "rebind"))
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            sites.extend(
-                self._target_sites(node.target, "rebind", node.value)
-            )
+            sites.extend(self._target_sites(node.target, "rebind"))
         elif isinstance(node, ast.AugAssign):
-            sites.extend(
-                self._target_sites(node.target, "augassign", node.value)
-            )
+            sites.extend(self._target_sites(node.target, "augassign"))
         elif isinstance(node, ast.Delete):
             for target in node.targets:
-                sites.extend(self._target_sites(target, "delete", None))
+                sites.extend(self._target_sites(target, "delete"))
         elif isinstance(node, ast.Call) and isinstance(
             node.func, ast.Attribute
         ):
@@ -546,13 +508,11 @@ class _ModuleScanner:
                     sites.append(site)
         return sites
 
-    def _target_sites(
-        self, target, op: str, value
-    ) -> "list[_Site]":
+    def _target_sites(self, target, op: str) -> "list[_Site]":
         if isinstance(target, (ast.Tuple, ast.List)):
             out: "list[_Site]" = []
             for element in target.elts:
-                out.extend(self._target_sites(element, op, None))
+                out.extend(self._target_sites(element, op))
             return out
         if isinstance(target, ast.Attribute):
             return [
@@ -563,7 +523,6 @@ class _ModuleScanner:
                     line=target.lineno,
                     col=target.col_offset,
                     op=op,
-                    value=value,
                 )
             ]
         if isinstance(target, ast.Subscript):
@@ -577,7 +536,6 @@ class _ModuleScanner:
                         line=target.lineno,
                         col=target.col_offset,
                         op="subscript",
-                        value=value,
                     )
                 ]
             if isinstance(inner, ast.Name):
@@ -589,7 +547,6 @@ class _ModuleScanner:
                         line=target.lineno,
                         col=target.col_offset,
                         op="subscript",
-                        value=value,
                     )
                 ]
             return []
@@ -602,7 +559,6 @@ class _ModuleScanner:
                     line=target.lineno,
                     col=target.col_offset,
                     op=op,
-                    value=value,
                 )
             ]
         return []
@@ -630,7 +586,7 @@ class _ModuleScanner:
             )
         return None
 
-    # -- R008 / R011 ----------------------------------------------------
+    # -- R008 -----------------------------------------------------------
     def _check_site(
         self, site: _Site, cls, func, guards, module_scope, global_decls
     ) -> None:
@@ -699,27 +655,6 @@ class _ModuleScanner:
                 f"write to {state.name} without holding declared "
                 f"guard {state.guard!r}",
             )
-        if state.rekey_apis and not self._rekey_allowed(site, state, func):
-            self.a._emit(
-                "R011",
-                self.mod.path,
-                site.line,
-                site.col,
-                f"{state.name} entries may only be created/re-keyed in "
-                f"{', '.join(state.rekey_apis)} (found in "
-                f"{func or '<module>'})",
-            )
-
-    def _rekey_allowed(
-        self, site: _Site, state: SharedState, func
-    ) -> bool:
-        creates = (
-            site.op in ("rebind", "augassign", "subscript")
-            or site.op in {f"call:{c}" for c in _CREATING_CALLS}
-        )
-        if not creates:
-            return True
-        return func in state.rekey_apis
 
     def _check_global_site(
         self, site: _Site, cls, func, guards, module_scope, global_decls
@@ -795,128 +730,3 @@ class _ModuleScanner:
         if len(resolutions) == 1:
             return next(iter(resolutions))
         return None
-
-    # -- R009 -----------------------------------------------------------
-    def _check_frozen_stores(self, fn_node, cls) -> None:
-        frozen = self.a.frozen_attrs
-        if not frozen:
-            return
-        qual = (
-            f"{self.mod.name}:{cls}.{fn_node.name}"
-            if cls
-            else f"{self.mod.name}:{fn_node.name}"
-        )
-        # 1. Local aliases: names later rebound onto a frozen attribute.
-        aliases: "set[str]" = set()
-        for sub in ast.walk(fn_node):
-            if (
-                isinstance(sub, ast.Assign)
-                and len(sub.targets) == 1
-                and isinstance(sub.targets[0], ast.Attribute)
-                and sub.targets[0].attr in frozen
-                and isinstance(sub.value, ast.Name)
-            ):
-                aliases.add(sub.value.id)
-        # 2. Names visibly frozen or read back out of the frozen store.
-        frozen_names: "set[str]" = set()
-        for sub in ast.walk(fn_node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "setflags"
-                and isinstance(sub.func.value, ast.Name)
-            ):
-                frozen_names.add(sub.func.value.id)
-            elif isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                target, value = sub.targets[0], sub.value
-                if isinstance(target, ast.Name) and self._frozen_read(
-                    value, aliases
-                ):
-                    frozen_names.add(target.id)
-        # 3. Every store into the frozen attr (or an alias) must store a
-        #    visibly frozen name.
-        for sub in ast.walk(fn_node):
-            if not (
-                isinstance(sub, ast.Assign)
-                and len(sub.targets) == 1
-                and isinstance(sub.targets[0], ast.Subscript)
-            ):
-                continue
-            container = sub.targets[0].value
-            is_frozen_target = (
-                isinstance(container, ast.Attribute)
-                and container.attr in frozen
-            ) or (
-                isinstance(container, ast.Name)
-                and container.id in aliases
-            )
-            if not is_frozen_target:
-                continue
-            value = sub.value
-            if isinstance(value, ast.Name) and value.id in frozen_names:
-                continue
-            if self._frozen_read(value, aliases):
-                continue
-            shown = (
-                value.id
-                if isinstance(value, ast.Name)
-                else type(value).__name__
-            )
-            self.a._emit(
-                "R009",
-                self.mod.path,
-                sub.lineno,
-                sub.col_offset,
-                f"ndarray {shown!r} stored into frozen shared state "
-                f"without setflags(write=False) — a writable buffer "
-                f"would escape the engine boundary",
-            )
-        # 4. Declared boundary functions: returns/yields must be frozen.
-        if qual in self.a.frozen_returns:
-            for sub in ast.walk(fn_node):
-                value = None
-                if isinstance(sub, ast.Return):
-                    value = sub.value
-                elif isinstance(sub, ast.Yield):
-                    value = sub.value
-                if value is None or (
-                    isinstance(value, ast.Constant)
-                    and value.value is None
-                ):
-                    continue
-                if isinstance(value, ast.Name) and value.id in frozen_names:
-                    continue
-                if self._frozen_read(value, aliases):
-                    continue
-                self.a._emit(
-                    "R009",
-                    self.mod.path,
-                    sub.lineno,
-                    sub.col_offset,
-                    f"{fn_node.name} is a declared frozen boundary but "
-                    f"returns a value not proven read-only",
-                )
-
-    def _frozen_read(self, value, aliases: "set[str]") -> bool:
-        """Is ``value`` a read out of a frozen container (hence frozen)?"""
-        if isinstance(value, ast.Subscript):
-            container = value.value
-            return (
-                isinstance(container, ast.Attribute)
-                and container.attr in self.a.frozen_attrs
-            ) or (
-                isinstance(container, ast.Name) and container.id in aliases
-            )
-        if isinstance(value, ast.Call) and isinstance(
-            value.func, ast.Attribute
-        ):
-            container = value.func.value
-            if value.func.attr in ("get", "pop"):
-                return (
-                    isinstance(container, ast.Attribute)
-                    and container.attr in self.a.frozen_attrs
-                ) or (
-                    isinstance(container, ast.Name)
-                    and container.id in aliases
-                )
-        return False

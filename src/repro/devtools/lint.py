@@ -41,16 +41,10 @@ Rule      What it rejects
           outside its declared owner module / writers, or without the
           declared ``lock:<name>`` guard lexically held (implemented in
           :mod:`repro.devtools.concurrency`).
-``R009``  An ndarray stored into ``frozen``-guarded shared state (the
-          score cache) without a visible ``setflags(write=False)`` —
-          the static form of the writable-buffer cache-poison bug
-          (concurrency module).
 ``R010``  Blocking I/O or a non-serve-safe guard acquisition reachable
           from a ``@serve_path`` root, proven over the
           :mod:`repro.devtools.callgraph` call graph (concurrency
           module).
-``R011``  An epoch-keyed cache entry created or re-keyed outside the
-          declared revalidation APIs (concurrency module).
 ========  ==============================================================
 
 Suppression: append ``# noqa: R003`` (or a comma-separated rule list,
@@ -114,26 +108,17 @@ RULES: dict[str, str] = {
         "declared owner module (or declared writers) while holding the "
         "declared guard"
     ),
-    "R009": (
-        "ndarrays stored into frozen shared state (the score cache) must be "
-        "visibly frozen via setflags(write=False) — no writable buffer may "
-        "escape the engine boundary"
-    ),
     "R010": (
         "functions reachable from @serve_path roots must not call blocking "
         "I/O (fsync, write-mode open, subprocess, sleep) or acquire "
         "non-serve-safe guards"
-    ),
-    "R011": (
-        "epoch-keyed cache entries may only be created/re-keyed through the "
-        "declared revalidation APIs (rekey_apis in SHARED_STATE)"
     ),
 }
 
 #: The rules implemented by :mod:`repro.devtools.concurrency` on top of
 #: the call graph; ``lint_paths`` handles the single-file AST rules and
 #: the CLI merges in these whole-tree checks.
-GRAPH_RULES = frozenset({"R008", "R009", "R010", "R011"})
+GRAPH_RULES = frozenset({"R008", "R010"})
 
 #: Files exempt from a rule because they *implement* the guarded API.
 _RULE_EXEMPT_FILES: dict[str, tuple[str, ...]] = {

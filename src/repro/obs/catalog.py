@@ -88,11 +88,6 @@ COUNTERS: frozenset[str] = frozenset(
         "engine_push_serves_total",
         "engine_push_repushes_total",
         "engine_push_rekeys_total",
-        # cache inserts computed against an epoch that a concurrent
-        # publish already superseded — dropped instead of stored, so a
-        # stale-basis score can never be delta-corrected into a live
-        # epoch (repro/serving/engine.py)
-        "engine_stale_cache_drops_total",
         # QA front end (repro/qa/system.py)
         "qa_asks_total",
         "qa_votes_total",
@@ -257,10 +252,6 @@ METRIC_HELP: dict[str, str] = {
     "engine_push_repushes_total": (
         "Cached push entries recomputed because an optimizer patch "
         "touched their frontier."
-    ),
-    "engine_stale_cache_drops_total": (
-        "Cache inserts dropped because their basis epoch was superseded "
-        "by a concurrent publish before the store."
     ),
     "optimize_ingest_votes_total": (
         "Votes accepted by the concurrent ingest path (logged and "

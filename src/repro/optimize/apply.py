@@ -9,8 +9,7 @@ the solve — the solver redistributes mass, it must not create it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from typing import TYPE_CHECKING
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from repro.devtools.contracts import check_row_stochastic
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
 from repro.graph.normalize import normalize_edges, out_weight_sums
-
-if TYPE_CHECKING:  # annotation only; engines are passed in, never built
-    from repro.serving.engine import SimilarityEngine
 
 #: Weight changes smaller than this are considered "unchanged" both for
 #: reporting and for the split-and-merge merge rule.
@@ -36,7 +32,6 @@ def apply_edge_weights(
     new_weights: Mapping[EdgeKey, float],
     *,
     normalize: bool = True,
-    engines: "Iterable[SimilarityEngine] | None" = None,
 ) -> dict[EdgeKey, tuple[float, float]]:
     """Write ``{(head, tail): weight}`` into ``aug`` and re-normalize.
 
@@ -49,11 +44,6 @@ def apply_edge_weights(
     normalize:
         Run ``NormalizeEdges`` on the touched nodes, restoring each
         node's pre-update knowledge-graph out-weight sum.
-    engines:
-        Serving engines to revalidate right after the weights land:
-        each one folds the whole patch burst into a single
-        delta-revalidation pass (:mod:`repro.serving.delta`) off the
-        serve path, so the first post-optimize serve is a cache hit.
 
     Returns
     -------
@@ -92,9 +82,6 @@ def apply_edge_weights(
             edge_filter=aug.is_kg_edge,
             seam="optimize.apply_edge_weights",
         )
-    if engines is not None:
-        for engine in engines:
-            engine.revalidate()
     changes: dict[EdgeKey, tuple[float, float]] = {}
     for (head, tail), old in before.items():
         final = graph.weight(head, tail)

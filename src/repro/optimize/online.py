@@ -32,7 +32,6 @@ against exactly the state a durable recovery would rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.errors import PersistenceError, VoteError
 from repro.eval.harness import vote_omega_avg
@@ -44,9 +43,6 @@ from repro.persistence import DurableStore, RecoveredState, WalRecord
 from repro.utils.sync import mutator
 from repro.votes.stream import CountPolicy
 from repro.votes.types import Vote, VoteSet
-
-if TYPE_CHECKING:  # annotation only; the engine is passed in, never built
-    from repro.serving.engine import SimilarityEngine
 
 
 @dataclass
@@ -94,13 +90,10 @@ class OnlineOptimizer:
         to reproduce state exactly, reopen the store with the *same*
         policy and solver options the original run used — replay is
         deterministic only under identical configuration.
-    engine:
-        Optional :class:`~repro.serving.engine.SimilarityEngine`
-        serving the same graph.  Each successful :meth:`flush`
-        revalidates it immediately, so the batch's weight patches are
-        folded into one delta-revalidation pass
-        (:mod:`repro.serving.delta`) off the serve path and the first
-        post-flush serve hits a warm cache.
+
+    A serving engine picks each batch's weight patches up at its next
+    serve; :class:`~repro.serving.worker.OptimizerWorker` publishes
+    them as one engine epoch instead.
     """
 
     aug: AugmentedGraph
@@ -110,7 +103,6 @@ class OnlineOptimizer:
     pending: VoteSet = field(default_factory=VoteSet)
     history: list[BatchOutcome] = field(default_factory=list)
     store: "DurableStore | None" = None
-    engine: "SimilarityEngine | None" = None
     _pending_seqs: list[int] = field(default_factory=list, init=False, repr=False)
 
     @mutator
@@ -214,8 +206,6 @@ class OnlineOptimizer:
 
         if self.store is not None and batch_seqs:
             self.store.checkpoint(self.aug, max(batch_seqs))
-        if self.engine is not None:
-            self.engine.revalidate()
         outcome = BatchOutcome(
             batch_index=len(self.history),
             num_votes=len(batch),

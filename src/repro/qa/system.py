@@ -413,33 +413,41 @@ class QASystem:
         with trace_span(
             "qa.optimize", strategy=strategy, num_votes=len(self._votes)
         ) as span:
-            if strategy == "multi":
-                _, report = solve_multi_vote(
-                    self._aug, self._votes, in_place=True, **options
-                )
-            elif strategy == "single":
-                _, report = solve_single_votes(
-                    self._aug, self._votes, in_place=True, **options
-                )
-            elif strategy == "split-merge":
-                _, report = solve_split_merge(
-                    self._aug, self._votes, in_place=True, **options
-                )
+            reports: list[OptimizeReport] = []
+
+            def solve() -> None:
+                if strategy == "multi":
+                    _, report = solve_multi_vote(
+                        self._aug, self._votes, in_place=True, **options
+                    )
+                elif strategy == "single":
+                    _, report = solve_single_votes(
+                        self._aug, self._votes, in_place=True, **options
+                    )
+                elif strategy == "split-merge":
+                    _, report = solve_split_merge(
+                        self._aug, self._votes, in_place=True, **options
+                    )
+                else:
+                    raise ValueError(
+                        f"unknown strategy {strategy!r}; expected 'multi', "
+                        f"'single', or 'split-merge'"
+                    )
+                reports.append(report)
+
+            if self._engine is not None:
+                # The whole in-place solve lands as one engine epoch,
+                # delta-revalidated off the serve path: asks on other
+                # threads read the pre-solve epoch meanwhile, and the
+                # first post-optimize ask hits a warm cache.
+                self._engine.publish(solve)
             else:
-                raise ValueError(
-                    f"unknown strategy {strategy!r}; expected 'multi', "
-                    f"'single', or 'split-merge'"
-                )
+                solve()
+            (report,) = reports
             span.set_attrs(
                 changed_edges=report.num_changed_edges,
                 elapsed=round(report.elapsed, 6),
             )
-            if self._engine is not None:
-                # Fold the solve's weight patches into one
-                # delta-revalidation pass now, off the serve path — the
-                # first post-optimize ask hits a warm cache instead of
-                # repropagating.
-                self._engine.revalidate()
         rec = active_recorder()
         if rec is not None:
             rec.record_timed(

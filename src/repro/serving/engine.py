@@ -7,36 +7,39 @@ truncated inverse P-distance (Section IV-A) was designed to make cheap.
 :class:`SimilarityEngine` turns the graph into a long-lived serving
 asset:
 
-- it owns one cached sparse adjacency matrix over the *persistent*
-  nodes (entities + answers), built by the graph's vectorized
-  :meth:`~repro.graph.digraph.WeightedDiGraph.csr`, and keeps it up to
-  date incrementally from the graph's mutation events
-  (:meth:`~repro.graph.digraph.WeightedDiGraph.add_listener`): an
-  optimizer weight update finds its CSR entry by binary search over
-  the row's column-sorted indices (all of a flush's searches run as one
-  vectorized pass) and patches the data array, and new
-  answer (document) nodes append one CSR row — no rebuild in either
-  case;
+- it serves from one immutable *epoch* at a time: a sparse adjacency
+  matrix over the *persistent* nodes (entities + answers), built by the
+  graph's vectorized :meth:`~repro.graph.digraph.WeightedDiGraph.csr`,
+  its node index and sorted answers, the push backend's state, and the
+  epoch's own score LRU.  The graph's mutation events
+  (:meth:`~repro.graph.digraph.WeightedDiGraph.add_listener`) are
+  buffered and turned into the *next* epoch, which is published by one
+  reference swap: an optimizer weight update finds its CSR entry by
+  binary search over the row's column-sorted indices (all of a flush's
+  searches run as one vectorized pass) and patches a copy of the data
+  array, and new answer (document) nodes append one CSR row — no
+  rebuild in either case;
 - query nodes never enter the matrix at all.  A query has out-links
   only, so no walk mass ever returns to it: seeding the propagation
   directly with the query's out-link weights is *bitwise identical* to
   running the dynamic program with the query row/column present (the
   removed entries only ever multiply zero mass).  Attaching or
-  detaching a query therefore costs the engine nothing;
-- score vectors live in a bounded LRU keyed on the engine's *matrix
-  epoch* — a counter bumped only when the matrix contents actually
-  change (rebuild, weight patch, row append).  Repeated questions
-  against an unchanged matrix are served from the cache even while
-  transient query nodes churn;
-- optimizer weight patches do **not** cold-invalidate the LRU: the
-  engine computes the exact correction each cached vector needs via
-  delta propagation (:mod:`repro.serving.delta` — work scales with the
-  changed edges' L-hop neighborhood, not ``|E|``) and re-keys the
-  patched entries to the new epoch, so the serve-vote-optimize-serve
-  loop keeps its caches warm.  When the patch is too dense for
-  localization to pay off, the engine falls back to full propagation
-  with an honest epoch bump (cold invalidation, bitwise identical to
-  the pre-delta behaviour);
+  detaching a query therefore costs the engine nothing and publishes no
+  epoch, so repeated questions keep hitting the cache while transient
+  query nodes churn;
+- a serve reads ``_current`` once and uses only that epoch, so it never
+  sees a half-applied batch and never waits for a writer: while a
+  publish holds the state lock on another thread, serves keep reading
+  the previous epoch;
+- each epoch owns its LRU, so no cached vector is ever re-keyed.  A
+  successor epoch starts from a copy of its predecessor's entries when
+  the change cannot alter any cached score (answer-row appends,
+  zero-delta patches), from a *repaired* copy after an optimizer weight
+  patch — the engine computes the exact correction each cached vector
+  needs via delta propagation (:mod:`repro.serving.delta` — work scales
+  with the changed edges' L-hop neighborhood, not ``|E|``; a patch too
+  dense to localize drops the dense entries instead) — and empty after
+  a rebuild or with delta revalidation off;
 - :meth:`SimilarityEngine.stats` exposes observability counters (cache
   hits/misses, patches, row appends, rebuilds avoided, per-stage
   timings) for serving dashboards and the throughput benchmark.
@@ -50,13 +53,13 @@ Propagation itself is pluggable: the engine resolves
 registry.  The default ``"dense"`` backend reproduces the historical
 dense DP bitwise; the ``"push"`` backend
 (:mod:`repro.similarity.push`) serves from a sparse residual frontier
-over an engine-maintained out-edge CSR, touching only edges near the
-query.  Push results carry their touched-node set and derived error
-bound, which lets :meth:`_flush` repair push state across optimizer
-weight patches the way delta propagation repairs dense vectors: a
-cached push entry whose touched set avoids every patched edge head is
-provably still within its error budget and is re-keyed verbatim;
-otherwise it is re-pushed locally on the patched matrix.
+over an epoch's out-edge CSR, touching only edges near the query.
+Push results carry their touched-node set and derived error bound,
+which lets a weight patch repair push entries the way delta
+propagation repairs dense vectors: a cached push entry whose touched
+set avoids every patched edge head is provably still within its error
+budget and carries over verbatim; otherwise it is re-pushed locally on
+the patched matrix.
 """
 
 from __future__ import annotations
@@ -108,6 +111,14 @@ REPUSH_STORM_THRESHOLD = 8
 
 #: Distinguishes the metric series of multiple engines in one process.
 _ENGINE_SEQ = itertools.count()
+
+#: One LRU entry: the frozen score vector, plus the push result that
+#: produced it (touched set + error accounting) or ``None``.
+_Entry = tuple[np.ndarray, "PropagationResult | None"]
+
+#: The push backend's state for one matrix: the out-edge CSR, the map
+#: from ``matrix.data`` positions into its data array, and ρ.
+_PushState = tuple[sparse.csr_matrix, np.ndarray, float]
 
 
 @dataclass
@@ -169,8 +180,170 @@ class EngineStats:
     timings: dict = field(default_factory=dict)
 
 
+def _push_state(matrix: sparse.csr_matrix) -> _PushState:
+    """The push backend's out-edge CSR, position map, and ρ for ``matrix``.
+
+    The out-edge CSR is the exact transpose of the in-edge matrix; the
+    map ``matrix.data[p] ↔ out.data[push_map[p]]`` lets a weight patch
+    update both in lock-step.  It falls out of transposing a "tag"
+    matrix that carries each nonzero's original data position as its
+    value.
+    """
+    nnz = matrix.nnz
+    if not nnz:
+        out = sparse.csr_matrix(matrix.shape)
+        return out, np.empty(0, dtype=np.int64), amplification_bound(out)
+    tag = sparse.csr_matrix(
+        (
+            np.arange(1, nnz + 1, dtype=np.float64),
+            matrix.indices,
+            matrix.indptr,
+        ),
+        shape=matrix.shape,
+    )
+    tagged = sparse.csr_matrix(tag.T)
+    source_pos = np.rint(tagged.data).astype(np.int64) - 1
+    out = sparse.csr_matrix(
+        (
+            matrix.data[source_pos],
+            tagged.indices.copy(),
+            tagged.indptr.copy(),
+        ),
+        shape=matrix.shape,
+    )
+    push_map = np.empty(nnz, dtype=np.int64)
+    push_map[source_pos] = np.arange(nnz, dtype=np.int64)
+    return out, push_map, amplification_bound(out)
+
+
+class _Epoch:
+    """One generation of the engine's served state.
+
+    ``matrix`` (``M[i, j] = w(v_j, v_i)`` over the persistent nodes),
+    ``index`` (node -> row), and ``answers`` (the answer nodes, sorted
+    by ``repr``: a serve's default targets) never change once the epoch
+    is published — writers build the next epoch instead.  The score LRU
+    belongs to this epoch alone, so a vector cached here always
+    describes this matrix; every vector is frozen on the way in
+    (constructor and :meth:`store`), so no caller holding a served array
+    can poison a later hit.  ``push`` is built on the epoch's first push
+    serve, or handed over by the writer patched from the predecessor's.
+    """
+
+    def __init__(
+        self,
+        number: int,
+        matrix: sparse.csr_matrix,
+        index: dict[Node, int],
+        answers: tuple[Node, ...],
+        *,
+        lru_lock: threading.Lock,
+        capacity: int,
+        entries: "Iterable[tuple[tuple, _Entry]]" = (),
+        push: "_PushState | None" = None,
+    ) -> None:
+        self.number = number
+        self.matrix = matrix
+        self.index = index
+        self.answers = answers
+        self.push = push
+        self._lru_lock = lru_lock
+        self._capacity = capacity
+        self._lru: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        for key, (vector, result) in entries:
+            vector.setflags(write=False)
+            self._lru[key] = (vector, result)
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    def lookup(self, key: tuple) -> "np.ndarray | None":
+        """The cached vector for ``key`` (marked most recent), or ``None``."""
+        with self._lru_lock:
+            entry = self._lru.get(key)
+            if entry is None:
+                return None
+            self._lru.move_to_end(key)
+        return entry[0]
+
+    def store(
+        self,
+        key: tuple,
+        vector: np.ndarray,
+        result: "PropagationResult | None" = None,
+    ) -> None:
+        """Freeze ``vector`` and cache it, evicting past the capacity."""
+        vector.setflags(write=False)
+        with self._lru_lock:
+            self._lru[key] = (vector, result)
+            self._lru.move_to_end(key)
+            while len(self._lru) > self._capacity:
+                self._lru.popitem(last=False)
+
+    def entries(self) -> "list[tuple[tuple, _Entry]]":
+        """The LRU's entries, least recently used first."""
+        with self._lru_lock:
+            return list(self._lru.items())
+
+    def push_state(self) -> _PushState:
+        """The push out-CSR, position map, and ρ, built on first use."""
+        push = self.push
+        if push is None:
+            push = self.push = _push_state(self.matrix)
+        return push
+
+    def offsets(self, edges: Sequence[tuple[Node, Node]]) -> "list[int | None]":
+        """Offsets of the ``(head, tail)`` edges in the matrix's data.
+
+        Edge ``head -> tail`` is the entry ``M[index[tail], index[head]]``,
+        found by binary search over that row's indices, which are
+        column-sorted by construction (built rows and appended answer
+        rows alike).  All the searches advance together, one array step
+        per halving, so a flush pays a few dozen numpy calls however many
+        edges it patches.  ``None`` where an endpoint is outside the
+        matrix (a query) or the edge is not one of its entries.
+        """
+        count = len(edges)
+        index = self.index
+        rows = np.fromiter(
+            (index.get(tail, -1) for _, tail in edges), dtype=np.int64, count=count
+        )
+        cols = np.fromiter(
+            (index.get(head, -1) for head, _ in edges), dtype=np.int64, count=count
+        )
+        known = np.flatnonzero((rows >= 0) & (cols >= 0))
+        rows = rows[known]
+        cols = cols[known]
+        indices = self.matrix.indices
+        indptr = self.matrix.indptr
+        # Per search: entries before lo are < col, entries from hi on are >= col.
+        lo = indptr[rows].astype(np.int64)
+        end = indptr[rows + 1].astype(np.int64)
+        hi = end.copy()
+        while True:
+            active = np.flatnonzero(lo < hi)
+            if not active.size:
+                break
+            mid = (lo[active] + hi[active]) // 2
+            below = indices[mid] < cols[active]
+            lo[active[below]] = mid[below] + 1
+            hi[active[~below]] = mid[~below]
+        hit = lo < end
+        hit[hit] = indices[lo[hit]] == cols[hit]
+        offsets: list[int | None] = [None] * count
+        for i, position in zip(known[hit].tolist(), lo[hit].tolist()):
+            offsets[i] = position
+        return offsets
+
+
 class SimilarityEngine:
     """Versioned, incrementally maintained similarity serving.
+
+    All served state is one immutable epoch, ``_current``.  Writers
+    (:meth:`publish`, or a serve applying buffered mutation events)
+    build the next epoch under ``_state_lock`` and publish it with one
+    assignment; a serve reads ``_current`` once and never waits for a
+    writer.
 
     Parameters
     ----------
@@ -190,8 +363,8 @@ class SimilarityEngine:
         Keep cached score vectors warm across optimizer weight patches
         by applying exact delta-propagation corrections
         (:mod:`repro.serving.delta`) instead of cold-invalidating the
-        LRU.  Off, every weight patch discards the whole cache (the
-        pre-delta behaviour).
+        LRU.  Off, every matrix change starts the next epoch with an
+        empty cache (the pre-delta behaviour).
     delta_density_threshold:
         Fallback budget for delta revalidation, as a multiple of the
         matrix's edge count: when the correction frontier outgrows
@@ -205,8 +378,9 @@ class SimilarityEngine:
     (Section III-A): query nodes have out-links only.  Mutations routed
     through the :class:`~repro.graph.augmented.AugmentedGraph` /
     :class:`~repro.graph.digraph.WeightedDiGraph` APIs are tracked
-    automatically; scores are always served at the graph's current
-    version.
+    automatically; scores are served at the graph's current version,
+    except that a serve overlapping a publish on another thread reads
+    the epoch before it.
     """
 
     def __init__(
@@ -229,30 +403,16 @@ class SimilarityEngine:
         self._delta_enabled = bool(delta_revalidation)
         self._delta_density_threshold = float(delta_density_threshold)
         self._aug = aug
-        # Guards every mutation of the epoch state (matrix, caches,
-        # push snapshots) so a background optimizer worker can publish
-        # weight-patch epochs while serve threads revalidate lazily.
-        # Reads stay lock-free: published objects are copy-on-write and
-        # never mutated in place, so a captured reference is a
-        # consistent epoch snapshot.  Re-entrant because publish() holds
-        # it across apply + _flush, and serve paths re-enter via _flush.
+        # Serializes writers: a publish (apply + flush) and a serve that
+        # applies buffered events.  Re-entrant because publish() holds it
+        # across apply + _flush, and a serve inside apply re-enters.
         self._state_lock = threading.RLock()
+        # Guards the LRU of every epoch this engine builds; held only
+        # for one dict operation or one snapshot copy.
+        self._lru_lock = threading.Lock()
         self.params = params if params is not None else SimilarityParams()
         self._cache_size = cache_size
-        self._cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._matrix: "sparse.csr_matrix | None" = None
-        # Push-backend serving state, derived lazily from the matrix:
-        # the out-edge CSR (the matrix transposed), the position map
-        # from matrix.data into its data array (so weight patches hit
-        # both in place), the amplification bound ρ, and per-cache-entry
-        # push metadata (touched set + error bound) for incremental
-        # re-push decisions.
-        self._push_adj: "sparse.csr_matrix | None" = None
-        self._push_map: "np.ndarray | None" = None
-        self._push_rho = 1.0
-        self._push_meta: dict[tuple, PropagationResult] = {}
-        self._epoch = 0  # bumped only when the matrix contents change
-        self._index: dict[Node, int] = {}
+        self._current: "_Epoch | None" = None
         self._events: list[tuple] = []
         self._listener = self._on_mutation
         aug.graph.add_listener(self._listener)
@@ -284,9 +444,6 @@ class SimilarityEngine:
         self._m_push_serves = counter("engine_push_serves_total", **label)
         self._m_push_repushes = counter("engine_push_repushes_total", **label)
         self._m_push_rekeys = counter("engine_push_rekeys_total", **label)
-        self._m_stale_drops = counter(
-            "engine_stale_cache_drops_total", **label
-        )
         self._g_cache_entries = self.registry.gauge("engine_cache_entries", **label)
         self._g_version = self.registry.gauge("engine_graph_version", **label)
         self._h_build = self.registry.histogram("engine_build_seconds", **label)
@@ -311,11 +468,7 @@ class SimilarityEngine:
         """Detach from the graph's mutation feed and drop caches."""
         self._aug.graph.remove_listener(self._listener)
         with self._state_lock:
-            self._matrix = None
-            self._push_adj = None
-            self._push_map = None
-            self._push_meta.clear()
-            self._cache.clear()
+            self._current = None
         self._events.clear()
 
     @property
@@ -328,6 +481,12 @@ class SimilarityEngine:
         """The configured bound on the per-query score LRU."""
         return self._cache_size
 
+    @property
+    def epoch(self) -> int:
+        """The published epoch's number (monotonic; 0 before the first build)."""
+        current = self._current
+        return current.number if current is not None else 0
+
     def stats(self) -> EngineStats:
         """A snapshot of the observability counters.
 
@@ -335,7 +494,9 @@ class SimilarityEngine:
         :class:`EngineStats` view and the registry snapshot agree on
         every counter by construction.
         """
-        self._g_cache_entries.set(len(self._cache))
+        current = self._current
+        entries = len(current) if current is not None else 0
+        self._g_cache_entries.set(entries)
         self._g_version.set(self.version)
         return EngineStats(
             graph_version=self.version,
@@ -346,7 +507,7 @@ class SimilarityEngine:
             query_events_ignored=int(self._m_query_events.value),
             cache_hits=int(self._m_cache_hits.value),
             cache_misses=int(self._m_cache_misses.value),
-            cache_entries=len(self._cache),
+            cache_entries=entries,
             delta_revalidations=int(self._m_delta_revalidations.value),
             delta_entries_patched=int(self._m_delta_entries.value),
             delta_fallbacks=int(self._m_delta_fallbacks.value),
@@ -368,15 +529,77 @@ class SimilarityEngine:
         )
 
     # ------------------------------------------------------------------
-    # mutation feed
+    # writers: mutation feed -> next epoch
     # ------------------------------------------------------------------
     @mutator
     def _on_mutation(self, event: str, *args) -> None:
         # Buffered: events are coalesced and applied lazily at the next
-        # serve, so a burst of optimizer updates costs one pass.
+        # serve or publish, so a burst of optimizer updates costs one pass.
         self._events.append((event, *args))
 
-    def _is_transient(self, node: Node) -> bool:
+    @mutator
+    def publish(self, apply: "Callable[[], object]") -> int:
+        """Apply a mutation batch and publish it as one epoch.
+
+        ``apply`` mutates the live graph (a solved batch's weight
+        patches, or a whole in-place solve); the engine holds
+        ``_state_lock`` across it *and* the flush that follows, so the
+        batch lands in exactly one published epoch.  Serves on other
+        threads never wait for it: they read the previous epoch until
+        the new one is swapped in, and then the new one — never a tear.
+
+        Returns the number of the epoch serving the batch.
+        """
+        with self._state_lock:
+            apply()
+            return self._flush().number
+
+    def _serving_epoch(self) -> _Epoch:
+        """The epoch a serve reads: ``_current``, caught up when free to.
+
+        Pending mutation events are applied first if ``_state_lock`` is
+        free; if a writer holds it, the serve reads the previous epoch
+        rather than wait.  Only a serve before the first build blocks.
+        """
+        epoch = self._current
+        if epoch is None:
+            return self._flush()
+        if not self._events:
+            self._m_rebuilds_avoided.inc()
+            return epoch
+        if not self._state_lock.acquire(blocking=False):
+            return epoch
+        try:
+            return self._flush()
+        finally:
+            self._state_lock.release()
+
+    @mutator
+    def _flush(self) -> _Epoch:
+        """Apply buffered mutations and publish the next epoch, if any.
+
+        Runs under ``_state_lock``.  The next epoch is built from locals
+        — a copy-on-write data array, a copied index, its own LRU — and
+        published by one assignment to ``_current``, so a serve holding
+        the previous epoch keeps a consistent snapshot.  Query-only
+        events publish nothing.
+        """
+        with self._state_lock:
+            events, self._events = self._events, []
+            current = self._current
+            if current is None:
+                epoch = self._rebuild(1)
+            elif events:
+                epoch = self._advance(current, events)
+            else:
+                self._m_rebuilds_avoided.inc()
+                return current
+            if epoch is not current:
+                self._current = epoch
+                self._g_cache_entries.set(len(epoch))
+            return epoch
+
+    def _is_transient(self, node: Node, index: Mapping[Node, int]) -> bool:
         """Whether ``node`` is (or was) a query node the matrix excludes."""
         if self._aug.is_query(node):
             return True
@@ -384,308 +607,292 @@ class SimilarityEngine:
         # the matrix was a transient attach/detach (detached queries are
         # already gone from the role sets when events are processed).
         return (
-            node not in self._index
+            node not in index
             and not self._aug.is_answer(node)
             and not self._aug.is_entity(node)
         )
 
-    def _offsets(self, edges: Sequence[tuple[Node, Node]]) -> "list[int | None]":
-        """Offsets of the ``(head, tail)`` edges in the matrix's data.
+    def _advance(self, current: _Epoch, events: list[tuple]) -> _Epoch:
+        """The epoch after ``events``: patched, appended, or rebuilt.
 
-        Edge ``head -> tail`` is the entry ``M[index[tail], index[head]]``,
-        found by binary search over that row's indices, which are
-        column-sorted by construction (built rows and appended answer
-        rows alike).  All the searches advance together, one array step
-        per halving, so a flush pays a few dozen numpy calls however many
-        edges it patches.  ``None`` where an endpoint is outside the
-        matrix (a query) or the edge is not one of its entries.
+        Returns ``current`` itself when every event concerned transient
+        query nodes.
         """
-        count = len(edges)
-        index = self._index
-        rows = np.fromiter(
-            (index.get(tail, -1) for _, tail in edges), dtype=np.int64, count=count
-        )
-        cols = np.fromiter(
-            (index.get(head, -1) for head, _ in edges), dtype=np.int64, count=count
-        )
-        known = np.flatnonzero((rows >= 0) & (cols >= 0))
-        rows = rows[known]
-        cols = cols[known]
-        indices = self._matrix.indices
-        indptr = self._matrix.indptr
-        # Per search: entries before lo are < col, entries from hi on are >= col.
-        lo = indptr[rows].astype(np.int64)
-        end = indptr[rows + 1].astype(np.int64)
-        hi = end.copy()
-        while True:
-            active = np.flatnonzero(lo < hi)
-            if not active.size:
-                break
-            mid = (lo[active] + hi[active]) // 2
-            below = indices[mid] < cols[active]
-            lo[active[below]] = mid[below] + 1
-            hi[active[~below]] = mid[~below]
-        hit = lo < end
-        hit[hit] = indices[lo[hit]] == cols[hit]
-        offsets: list[int | None] = [None] * count
-        for i, position in zip(known[hit].tolist(), lo[hit].tolist()):
-            offsets[i] = position
-        return offsets
-
-    @mutator
-    def _flush(self) -> None:
-        """Apply buffered mutations to the cached matrix.
-
-        Runs entirely under ``_state_lock`` so a serve-thread
-        revalidation and an optimizer-worker :meth:`publish` serialize.
-        Weight patches are applied *copy-on-write*: the CSR data array
-        is copied, patched, and rebound as a fresh matrix sharing the
-        (immutable) index structure — a propagation that captured the
-        previous matrix reference keeps a consistent snapshot of the
-        retired epoch instead of seeing a half-patched tear.
-        """
-        with self._state_lock:
-            events, self._events = self._events, []
-            if self._matrix is None:
-                self._rebuild()
-                return
-            if not events:
-                self._m_rebuilds_avoided.inc()
-                return
-            patches: list[tuple[int, float]] = []
-            patch_edges: dict[int, tuple[Node, Node]] = {}
-            new_answers: list[Node] = []
-            new_answer_set: set[Node] = set()
-            rebuild = False
-            ignored = 0  # transient-query events, counted in one batch below
-            # One offset per edge event, in event order; the matrix does not
-            # change until the loop below has read them all.
-            offsets = iter(
-                self._offsets(
-                    [
-                        event[1:3]
-                        for event in events
-                        if event[0] == "update_weight" or event[0] == "add_edge"
-                    ]
-                )
+        index = current.index
+        patches: list[tuple[int, float]] = []
+        patch_edges: dict[int, tuple[Node, Node]] = {}
+        new_answers: list[Node] = []
+        new_answer_set: set[Node] = set()
+        rebuild = False
+        ignored = 0  # transient-query events, counted in one batch below
+        # One offset per edge event, in event order.
+        offsets = iter(
+            current.offsets(
+                [
+                    event[1:3]
+                    for event in events
+                    if event[0] == "update_weight" or event[0] == "add_edge"
+                ]
             )
-            for event in events:
-                kind = event[0]
-                if kind == "update_weight":
-                    _, head, tail, weight = event
-                    position = next(offsets)
-                    if position is not None:
-                        patches.append((position, weight))
-                        patch_edges[position] = (head, tail)
-                    elif tail in new_answer_set or self._is_transient(head) or (
-                        self._is_transient(tail)
-                    ):
-                        ignored += 1
-                    else:
-                        rebuild = True
-                        break
-                elif kind == "add_node":
-                    node = event[1]
-                    if self._aug.is_answer(node) and node not in self._index:
-                        new_answers.append(node)
-                        new_answer_set.add(node)
-                    elif self._is_transient(node):
-                        ignored += 1
-                    else:
-                        rebuild = True  # a new entity: sparsity pattern changes
-                        break
-                elif kind == "add_edge":
-                    _, head, tail, weight = event
-                    position = next(offsets)
-                    if tail in new_answer_set:
-                        continue  # the appended row is read from the live graph
-                    if self._is_transient(head) or self._is_transient(tail):
-                        ignored += 1
-                        continue
-                    if position is not None:
-                        patches.append((position, weight))
-                        patch_edges[position] = (head, tail)
-                    else:
-                        rebuild = True
-                        break
-                else:  # "remove_edge" / "remove_node"
-                    involved = event[1:3] if kind == "remove_edge" else event[1:2]
-                    if any(self._is_transient(node) for node in involved):
-                        ignored += 1
-                        continue
+        )
+        for event in events:
+            kind = event[0]
+            if kind == "update_weight":
+                _, head, tail, weight = event
+                position = next(offsets)
+                if position is not None:
+                    patches.append((position, weight))
+                    patch_edges[position] = (head, tail)
+                elif tail in new_answer_set or self._is_transient(head, index) or (
+                    self._is_transient(tail, index)
+                ):
+                    ignored += 1
+                else:
                     rebuild = True
                     break
-            if ignored:
-                self._m_query_events.inc(ignored)
-            if rebuild:
-                self._rebuild()
-                return
-            # Whether the cached score vectors still describe the matrix at
-            # the (possibly bumped) current epoch.  Delta revalidation keeps
-            # it true across weight patches; a fallback makes it false and
-            # the stale entries are dropped below.
-            cache_valid = True
-            if patches:
-                matrix = self._matrix
-                data = matrix.data.copy()
-                positions = np.unique(
-                    np.fromiter(
-                        (position for position, _ in patches),
-                        dtype=np.int64,
-                        count=len(patches),
-                    )
-                )
-                track_delta = (
-                    self._delta_enabled
-                    and self._cache_size > 0
-                    and bool(self._cache)
-                )
-                old_values = data[positions].copy() if track_delta else None
-                for position, weight in patches:
-                    data[position] = weight
-                # Contract seam: every patched CSR entry is a finite positive
-                # weight.  No-op unless REPRO_CONTRACTS is on.
-                check_finite_csr_data(
-                    data,
-                    positions=[position for position, _ in patches],
-                    seam="engine.patch",
-                )
-                self._matrix = sparse.csr_matrix(
-                    (data, matrix.indices, matrix.indptr),
-                    shape=matrix.shape,
-                )
-                if self._push_adj is not None:
-                    # Keep the push out-edge CSR in lock-step with the
-                    # matrix (same nonzeros, transposed layout) and grow the
-                    # amplification bound ρ if a patched head's out-weight
-                    # sum now exceeds it.  ρ is an upper bound, so weight
-                    # decreases never lower it — staying high is sound.
-                    adj = self._push_adj
-                    adj_data = adj.data.copy()
-                    adj_data[self._push_map[positions]] = data[positions]
-                    heads = np.unique(
-                        np.fromiter(
-                            (
-                                self._index[patch_edges[int(p)][0]]
-                                for p in positions
-                            ),
-                            dtype=np.int64,
-                            count=positions.size,
-                        )
-                    )
-                    for row in heads:
-                        row_sum = float(
-                            adj_data[adj.indptr[row] : adj.indptr[row + 1]].sum()
-                        )
-                        if row_sum > self._push_rho:
-                            self._push_rho = row_sum
-                    self._push_adj = sparse.csr_matrix(
-                        (adj_data, adj.indices, adj.indptr),
-                        shape=adj.shape,
-                    )
-                self._m_weight_patches.inc(len(patches))
-                self._epoch += 1
-                if self._cache:
-                    if track_delta:
-                        cache_valid = self._delta_revalidate(
-                            positions, old_values, patch_edges
-                        )
-                    else:
-                        cache_valid = False
-            if new_answers:
-                try:
-                    self._append_answer_rows(new_answers)
-                except KeyError:
-                    self._rebuild()
-                    return
-                self._epoch += 1
-                if self._cache and cache_valid and self._delta_enabled:
-                    # Answer nodes have no out-edges: appending rows cannot
-                    # change any cached score, so the vectors carry over to
-                    # the new epoch verbatim.
-                    self._rekey_cache()
-                elif self._cache and self._delta_enabled is False:
-                    cache_valid = False
-            if self._cache and not cache_valid:
-                self._cache.clear()
-                self._push_meta.clear()
-                self._g_cache_entries.set(0)
-            self._m_rebuilds_avoided.inc()
+            elif kind == "add_node":
+                node = event[1]
+                if self._aug.is_answer(node) and node not in index:
+                    new_answers.append(node)
+                    new_answer_set.add(node)
+                elif self._is_transient(node, index):
+                    ignored += 1
+                else:
+                    rebuild = True  # a new entity: sparsity pattern changes
+                    break
+            elif kind == "add_edge":
+                _, head, tail, weight = event
+                position = next(offsets)
+                if tail in new_answer_set:
+                    continue  # the appended row is read from the live graph
+                if self._is_transient(head, index) or self._is_transient(
+                    tail, index
+                ):
+                    ignored += 1
+                    continue
+                if position is not None:
+                    patches.append((position, weight))
+                    patch_edges[position] = (head, tail)
+                else:
+                    rebuild = True
+                    break
+            else:  # "remove_edge" / "remove_node"
+                involved = event[1:3] if kind == "remove_edge" else event[1:2]
+                if any(self._is_transient(node, index) for node in involved):
+                    ignored += 1
+                    continue
+                rebuild = True
+                break
+        if ignored:
+            self._m_query_events.inc(ignored)
+        if rebuild:
+            return self._rebuild(current.number + 1)
+        epoch = current
+        if patches:
+            epoch = self._patch(epoch, patches, patch_edges)
+        if new_answers:
+            try:
+                epoch = self._append_answer_rows(epoch, new_answers)
+            except KeyError:
+                return self._rebuild(current.number + 1)
+        self._m_rebuilds_avoided.inc()
+        return epoch
 
-    @mutator
-    def revalidate(self) -> None:
-        """Apply buffered graph mutations now, off the serve path.
+    def _new_epoch(
+        self,
+        number: int,
+        matrix: sparse.csr_matrix,
+        index: dict[Node, int],
+        answers: tuple[Node, ...],
+        *,
+        entries: "Iterable[tuple[tuple, _Entry]]" = (),
+        push: "_PushState | None" = None,
+    ) -> _Epoch:
+        return _Epoch(
+            number,
+            matrix,
+            index,
+            answers,
+            lru_lock=self._lru_lock,
+            capacity=self._cache_size,
+            entries=entries,
+            push=push,
+        )
 
-        Serving applies mutations lazily at the next :meth:`scores` /
-        :meth:`score_batch` call; optimizer flush paths
-        (:meth:`repro.qa.system.QASystem.optimize`,
-        :class:`repro.optimize.online.OnlineOptimizer`,
-        :func:`repro.optimize.apply.apply_edge_weights`) call this right
-        after a solve instead, so the weight-patch burst is folded into
-        one delta-revalidation pass *before* the post-optimize traffic
-        spike and the first serve after a patch is a plain cache hit.
+    def _rebuild(self, number: int) -> _Epoch:
+        """A fresh epoch built from the live graph (the safe path).
+
+        The base matrix is ``M[i, j] = w(v_j, v_i)`` over every
+        non-query node, built by the graph's vectorized
+        :meth:`~repro.graph.digraph.WeightedDiGraph.csr` — the same
+        canonical column-sorted layout the cold
+        :meth:`~repro.graph.digraph.WeightedDiGraph.adjacency_matrix`
+        has, so propagation results match it bitwise.  Edges into a
+        query node (none exist by construction) are left out with the
+        query rows.  The epoch's LRU starts empty.
         """
-        self._flush()
-
-    @mutator
-    def publish(self, apply: "Callable[[], object]") -> int:
-        """Atomically apply a mutation batch and revalidate in one epoch.
-
-        ``apply`` mutates the live graph (typically replaying a solved
-        batch's weight patches); the engine holds ``_state_lock`` across
-        the mutation *and* the revalidation, so no concurrent serve can
-        flush a half-applied batch into an epoch of its own.  This is
-        the optimizer worker's publication point: the whole batch lands
-        as exactly one weight-patch epoch (plus delta revalidation),
-        and serve threads either see the retired epoch or the fully
-        published one — never a tear.
-
-        Returns the epoch the batch was published as.
-        """
-        with self._state_lock:
-            apply()
-            self._flush()
-            return self._epoch
-
-    @property
-    def epoch(self) -> int:
-        """The current matrix-content epoch (monotonic; racy read is fine)."""
-        return self._epoch
-
-    @mutator
-    def _rekey_cache(self) -> None:
-        """Carry every cached vector verbatim to the current epoch.
-
-        Only sound for matrix changes that provably cannot alter any
-        cached score (answer-row appends, zero-delta patches).
-        """
-        with self._state_lock:
-            if not self._cache:
-                return
-            self._cache = OrderedDict(
-                (key[:-1] + (self._epoch,), vector)
-                for key, vector in self._cache.items()
+        started = time.perf_counter()
+        with trace_span("engine.rebuild") as span:
+            is_query = self._aug.is_query
+            persistent = (
+                node for node in self._aug.graph.nodes() if not is_query(node)
             )
-            if self._push_meta:
-                self._push_meta = {
-                    key[:-1] + (self._epoch,): meta
-                    for key, meta in self._push_meta.items()
-                }
-            self._m_delta_rekeys.inc(len(self._cache))
+            index = {node: i for i, node in enumerate(persistent)}
+            matrix = self._aug.graph.csr(index)
+            span.set_attrs(nodes=len(index), edges=matrix.nnz)
+        check_finite_csr_data(matrix.data, seam="engine.rebuild")
+        self._m_builds.inc()
+        self._h_build.observe(time.perf_counter() - started)
+        answers = tuple(sorted(self._aug.answer_nodes, key=repr))
+        return self._new_epoch(number, matrix, index, answers)
+
+    def _patch(
+        self,
+        prev: _Epoch,
+        patches: list[tuple[int, float]],
+        patch_edges: dict[int, tuple[Node, Node]],
+    ) -> _Epoch:
+        """The epoch after in-place weight patches, applied copy-on-write.
+
+        The data array is copied, patched, and rebound as a fresh matrix
+        sharing the (immutable) index structure.  The predecessor's push
+        out-CSR, if built, is patched in lock-step.  The LRU starts from
+        the predecessor's entries, delta-repaired, or empty when delta
+        revalidation is off.
+        """
+        matrix = prev.matrix
+        data = matrix.data.copy()
+        positions = np.unique(
+            np.fromiter(
+                (position for position, _ in patches),
+                dtype=np.int64,
+                count=len(patches),
+            )
+        )
+        old_values = data[positions]
+        for position, weight in patches:
+            data[position] = weight
+        # Contract seam: every patched CSR entry is a finite positive
+        # weight.  No-op unless REPRO_CONTRACTS is on.
+        check_finite_csr_data(
+            data,
+            positions=[position for position, _ in patches],
+            seam="engine.patch",
+        )
+        push = prev.push
+        if push is not None:
+            # Same nonzeros, transposed layout; grow ρ if a patched
+            # head's out-weight sum now exceeds it.  ρ is an upper bound,
+            # so weight decreases never lower it — staying high is sound.
+            adj, push_map, rho = push
+            adj_data = adj.data.copy()
+            adj_data[push_map[positions]] = data[positions]
+            heads = np.unique(
+                np.fromiter(
+                    (prev.index[patch_edges[int(p)][0]] for p in positions),
+                    dtype=np.int64,
+                    count=positions.size,
+                )
+            )
+            for row in heads:
+                row_sum = float(
+                    adj_data[adj.indptr[row] : adj.indptr[row + 1]].sum()
+                )
+                if row_sum > rho:
+                    rho = row_sum
+            push = (
+                sparse.csr_matrix(
+                    (adj_data, adj.indices, adj.indptr), shape=adj.shape
+                ),
+                push_map,
+                rho,
+            )
+        self._m_weight_patches.inc(len(patches))
+        epoch = self._new_epoch(
+            prev.number + 1,
+            sparse.csr_matrix(
+                (data, matrix.indices, matrix.indptr), shape=matrix.shape
+            ),
+            prev.index,
+            prev.answers,
+            push=push,
+        )
+        if self._delta_enabled and self._cache_size:
+            entries = prev.entries()
+            if entries:
+                self._delta_revalidate(
+                    epoch, entries, positions, old_values, patch_edges
+                )
+        return epoch
+
+    def _append_answer_rows(self, prev: _Epoch, answers: Sequence[Node]) -> _Epoch:
+        """The epoch with one empty column + one in-link row per answer.
+
+        Answer nodes have no out-edges, so their columns stay empty; all
+        their in-links land in the single new row, which makes CSR row
+        append the exact incremental form of a rebuild.  For the same
+        reason no cached score can change: with delta revalidation on,
+        the successor starts from a copy of the predecessor's LRU.
+        """
+        started = time.perf_counter()
+        matrix = prev.matrix
+        index = dict(prev.index)
+        data_parts = [matrix.data]
+        index_parts = [matrix.indices]
+        indptr = list(matrix.indptr)
+        offset = len(matrix.data)
+        for answer in answers:
+            links = self._aug.answer_links(answer)
+            # Column-sorted, like every built row: offsets() relies on it.
+            entries = sorted(
+                (index[entity], float(weight))
+                for entity, weight in links.items()
+            )
+            index[answer] = len(index)
+            offset += len(entries)
+            data_parts.append(
+                np.asarray([w for _, w in entries], dtype=float)
+            )
+            index_parts.append(
+                np.asarray([j for j, _ in entries], dtype=np.int32)
+            )
+            indptr.append(offset)
+        n = len(index)
+        appended = sparse.csr_matrix(
+            (
+                np.concatenate(data_parts),
+                np.concatenate(index_parts),
+                np.asarray(indptr, dtype=np.int64),
+            ),
+            shape=(n, n),
+        )
+        check_finite_csr_data(appended.data, seam="engine.append_rows")
+        self._m_rows_appended.inc(len(answers))
+        self._h_build.observe(time.perf_counter() - started)
+        carried = prev.entries() if self._delta_enabled else []
+        if carried:
+            self._m_delta_rekeys.inc(len(carried))
+        return self._new_epoch(
+            prev.number + 1,
+            appended,
+            index,
+            tuple(sorted(prev.answers + tuple(answers), key=repr)),
+            entries=carried,
+        )
 
     def _cold_vector(
         self,
+        epoch: _Epoch,
         links: "tuple[tuple[Node, float], ...]",
         target_idx: np.ndarray,
         max_length: int,
         restart_prob: float,
-        matrix: "sparse.csr_matrix | None" = None,
     ) -> np.ndarray:
         """Un-instrumented reference DP, for contract checking only."""
-        matrix = matrix if matrix is not None else self._matrix
+        matrix = epoch.matrix
         mass = np.zeros(matrix.shape[0])
         for entity, weight in links:
-            mass[self._index[entity]] = weight
+            mass[epoch.index[entity]] = weight
         damping = 1.0 - restart_prob
         factor = restart_prob * damping
         scores = np.zeros(len(target_idx))
@@ -698,46 +905,44 @@ class SimilarityEngine:
             scores += factor * mass[target_idx]
         return scores
 
-    @mutator
     def _delta_revalidate(
         self,
+        epoch: _Epoch,
+        entries: "list[tuple[tuple, _Entry]]",
         positions: np.ndarray,
         old_values: np.ndarray,
         patch_edges: "dict[int, tuple[Node, Node]]",
-    ) -> bool:
-        """Repair every cached score vector after a weight patch.
+    ) -> None:
+        """Fill the patched ``epoch``'s LRU with repaired predecessor entries.
 
-        The cache is partitioned by the backend that produced each
-        entry (``key[0]``):
+        ``entries`` (the predecessor's LRU) are partitioned by the
+        backend that produced each (``key[0]``):
 
         - **dense** entries receive the exact delta-propagation
-          correction and are re-keyed to the new epoch; a
-          :class:`~repro.serving.delta.DeltaFallbackError` (patch too
-          dense) or unknown node drops *only* the dense entries — the
-          honest cold-invalidation fallback, now per-kind;
-        - **push** entries (tracked in ``_push_meta``) are re-keyed
+          correction; a :class:`~repro.serving.delta.DeltaFallbackError`
+          (patch too dense) or unknown node drops *only* the dense
+          entries — the honest cold-invalidation fallback, per kind;
+        - **push** entries (those carrying a push result) carry over
           verbatim when provably unaffected — no patched edge's head is
           in the entry's touched set and the amplification bound ρ did
           not grow, so both the computed mass and the dropped-mass
-          error accounting are unchanged — and re-pushed locally on the
-          patched matrix otherwise;
+          error accounting are unchanged — and are re-pushed locally on
+          the patched matrix otherwise;
         - entries of any other (third-party) backend are dropped:
           the engine knows no repair rule for them.
-
-        Returns whether the surviving cache is valid at the (already
-        bumped) current epoch; repairs happen in place, so this is
-        always ``True`` and the caller's wholesale drop never fires.
         """
-        deltas = self._matrix.data[positions] - old_values
+        deltas = epoch.matrix.data[positions] - old_values
         changed = np.flatnonzero(deltas)
         if changed.size == 0:
             # The "patch" rewrote identical weights; nothing can differ.
-            self._rekey_cache()
-            return True
-        index = self._index
-        entries = list(self._cache.items())
+            for key, (vector, result) in entries:
+                epoch.store(key, vector, result)
+            self._m_delta_rekeys.inc(len(entries))
+            return
+        index = epoch.index
         dense_keys = [key for key, _ in entries if key[0] == "dense"]
-        push_keys = [key for key, _ in entries if key in self._push_meta]
+        push_keys = [key for key, (_, result) in entries if result is not None]
+        cached = dict(entries)
         corrected: dict[tuple, np.ndarray] = {}
         dense_ok = True
         if dense_keys:
@@ -766,7 +971,7 @@ class SimilarityEngine:
                         count=changed.size,
                     )
                     corrector = DeltaCorrector(
-                        self._matrix,
+                        epoch.matrix,
                         rows,
                         cols,
                         deltas[changed],
@@ -790,7 +995,7 @@ class SimilarityEngine:
                             dtype=np.int64,
                             count=len(targets),
                         )
-                        vector = self._cache[key] + corrector.correction(
+                        vector = cached[key][0] + corrector.correction(
                             seed_idx,
                             seed_weights,
                             target_idx,
@@ -805,11 +1010,10 @@ class SimilarityEngine:
                             check_delta_scores(
                                 vector,
                                 self._cold_vector(
-                                    links, target_idx, length, restart_prob
+                                    epoch, links, target_idx, length, restart_prob
                                 ),
                                 seam="engine.delta",
                             )
-                        vector.setflags(write=False)
                         corrected[key] = vector
                     span.set_attrs(frontier_nnz=corrector.frontier_nnz)
                 except (DeltaFallbackError, KeyError) as exc:
@@ -840,10 +1044,9 @@ class SimilarityEngine:
                 self._m_delta_revalidations.inc()
                 self._m_delta_entries.inc(len(dense_keys))
         repushed: dict[tuple, PropagationResult] = {}
-        dropped: set[tuple] = set()
-        push_rekeyed = 0
+        kept: set[tuple] = set()
         if push_keys:
-            out_matrix, rho = self._ensure_push_state()
+            rho = epoch.push_state()[2]
             changed_heads = np.unique(
                 np.fromiter(
                     (
@@ -854,9 +1057,8 @@ class SimilarityEngine:
                     count=changed.size,
                 )
             )
-            rekeyed = 0
             for key in push_keys:
-                meta = self._push_meta[key]
+                meta = cached[key][1]
                 if (
                     meta.touched_nodes is not None
                     and rho <= meta.rho
@@ -868,7 +1070,7 @@ class SimilarityEngine:
                     # touched nodes, and the dropped-mass accounting
                     # only depends on ρ: with both unchanged the cached
                     # vector is still within its error bound.
-                    rekeyed += 1
+                    kept.add(key)
                     continue
                 backend_name, links, targets, length, restart_prob, tol = (
                     key[:6]
@@ -881,6 +1083,7 @@ class SimilarityEngine:
                         count=len(targets),
                     )
                     result = self._push_compute(
+                        epoch,
                         dict(links),
                         target_idx,
                         SimilarityParams(
@@ -892,40 +1095,21 @@ class SimilarityEngine:
                         backend,
                     )
                 except (KeyError, EvaluationError):
-                    dropped.add(key)
                     continue
                 self._m_push_repushes.inc()
                 repushed[key] = result
-            if rekeyed:
-                self._m_push_rekeys.inc(rekeyed)
-            push_rekeyed = rekeyed
-        # Rebuild the cache in LRU order with new-epoch keys; entries
-        # with no repair rule (dense after a fallback, failed re-pushes,
-        # unknown backends) simply fall out.  Every surviving vector
-        # funnels through the single freeze-then-store below, so the
-        # frozen-values invariant (R009) holds by construction.
-        new_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        new_meta: dict[tuple, PropagationResult] = {}
-        for key, vector in entries:
-            new_key = key[:-1] + (self._epoch,)
+            if kept:
+                self._m_push_rekeys.inc(len(kept))
+        # Refill in LRU order; entries with no repair rule (dense after a
+        # fallback, failed re-pushes, unknown backends) simply fall out.
+        for key, (vector, result) in entries:
             if key in corrected:
-                vector = corrected[key]
+                epoch.store(key, corrected[key])
             elif key in repushed:
                 result = repushed[key]
-                vector = result.scores
-                new_meta[new_key] = result
-            elif key in self._push_meta and key not in dropped:
-                new_meta[new_key] = self._push_meta[key]
-            else:
-                continue
-            vector.setflags(write=False)
-            new_cache[new_key] = vector
-        # _flush already holds the lock (re-entrant); the lexical scope
-        # marks the swap as the guarded publication point.
-        with self._state_lock:
-            self._cache = new_cache
-            self._push_meta = new_meta
-        self._g_cache_entries.set(len(new_cache))
+                epoch.store(key, result.scores, result)
+            elif key in kept:
+                epoch.store(key, vector, result)
         rec = active_recorder()
         if rec is not None:
             rec.record(
@@ -935,8 +1119,8 @@ class SimilarityEngine:
                 entries_patched=len(corrected),
                 dense_fallback=not dense_ok,
                 push_repushes=len(repushed),
-                push_rekeys=push_rekeyed,
-                entries_kept=len(new_cache),
+                push_rekeys=len(kept),
+                entries_kept=len(epoch),
             )
             if len(repushed) >= REPUSH_STORM_THRESHOLD:
                 rec.trigger(
@@ -947,136 +1131,20 @@ class SimilarityEngine:
                         f"(threshold {REPUSH_STORM_THRESHOLD})"
                     ),
                 )
-        return True
-
-    @mutator
-    def _rebuild(self) -> None:
-        """Rebuild the base matrix from the live graph (the safe path).
-
-        The base matrix is ``M[i, j] = w(v_j, v_i)`` over every
-        non-query node, built by the graph's vectorized
-        :meth:`~repro.graph.digraph.WeightedDiGraph.csr` — the same
-        canonical column-sorted layout the cold
-        :meth:`~repro.graph.digraph.WeightedDiGraph.adjacency_matrix`
-        has, so propagation results match it bitwise.  Edges into a
-        query node (none exist by construction) are left out with the
-        query rows.
-        """
-        started = time.perf_counter()
-        with self._state_lock, trace_span("engine.rebuild") as span:
-            is_query = self._aug.is_query
-            persistent = (
-                node for node in self._aug.graph.nodes() if not is_query(node)
-            )
-            index = {node: i for i, node in enumerate(persistent)}
-            self._matrix = self._aug.graph.csr(index)
-            self._index = index
-            self._push_adj = None
-            self._push_map = None
-            self._epoch += 1
-            span.set_attrs(nodes=len(index), edges=self._matrix.nnz)
-        check_finite_csr_data(self._matrix.data, seam="engine.rebuild")
-        self._m_builds.inc()
-        self._h_build.observe(time.perf_counter() - started)
-
-    @mutator
-    def _append_answer_rows(self, answers: Sequence[Node]) -> None:
-        """Grow the matrix by one empty column + one in-link row per answer.
-
-        Answer nodes have no out-edges, so their columns stay empty; all
-        their in-links land in the single new row, which makes CSR row
-        append the exact incremental form of a rebuild.
-        """
-        started = time.perf_counter()
-        with self._state_lock:
-            matrix = self._matrix
-            data_parts = [matrix.data]
-            index_parts = [matrix.indices]
-            indptr = list(matrix.indptr)
-            offset = len(matrix.data)
-            for answer in answers:
-                links = self._aug.answer_links(answer)
-                # Column-sorted, like every built row: _offsets relies on it.
-                entries = sorted(
-                    (self._index[entity], float(weight))
-                    for entity, weight in links.items()
-                )
-                self._index[answer] = len(self._index)
-                offset += len(entries)
-                data_parts.append(
-                    np.asarray([w for _, w in entries], dtype=float)
-                )
-                index_parts.append(
-                    np.asarray([j for j, _ in entries], dtype=np.int32)
-                )
-                indptr.append(offset)
-            n = len(self._index)
-            self._matrix = sparse.csr_matrix(
-                (
-                    np.concatenate(data_parts),
-                    np.concatenate(index_parts),
-                    np.asarray(indptr, dtype=np.int64),
-                ),
-                shape=(n, n),
-            )
-            self._push_adj = None
-            self._push_map = None
-        check_finite_csr_data(self._matrix.data, seam="engine.append_rows")
-        self._m_rows_appended.inc(len(answers))
-        self._h_build.observe(time.perf_counter() - started)
-
-    def _ensure_push_state(self) -> tuple[sparse.csr_matrix, float]:
-        """The push backend's out-edge CSR + amplification bound ρ.
-
-        Built lazily as the exact transpose of the in-edge matrix,
-        together with a position map ``matrix.data[p] ↔
-        push_adj.data[push_map[p]]`` so weight patches update both CSRs
-        in place.  The map falls out of transposing a "tag" matrix that
-        carries each nonzero's original data position as its value.
-        """
-        with self._state_lock:
-            if self._push_adj is None:
-                matrix = self._matrix
-                nnz = matrix.nnz
-                if nnz:
-                    tag = sparse.csr_matrix(
-                        (
-                            np.arange(1, nnz + 1, dtype=np.float64),
-                            matrix.indices,
-                            matrix.indptr,
-                        ),
-                        shape=matrix.shape,
-                    )
-                    tagged = sparse.csr_matrix(tag.T)
-                    source_pos = np.rint(tagged.data).astype(np.int64) - 1
-                    self._push_adj = sparse.csr_matrix(
-                        (
-                            matrix.data[source_pos],
-                            tagged.indices.copy(),
-                            tagged.indptr.copy(),
-                        ),
-                        shape=matrix.shape,
-                    )
-                    push_map = np.empty(nnz, dtype=np.int64)
-                    push_map[source_pos] = np.arange(nnz, dtype=np.int64)
-                    self._push_map = push_map
-                else:
-                    self._push_adj = sparse.csr_matrix(matrix.shape)
-                    self._push_map = np.empty(0, dtype=np.int64)
-                self._push_rho = amplification_bound(self._push_adj)
-            return self._push_adj, self._push_rho
 
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def _resolve_targets(self, targets: "Iterable[Node] | None") -> list[Node]:
-        if targets is None:
-            return sorted(self._aug.answer_nodes, key=repr)
-        return list(targets)
+    def _resolve_targets(
+        self, epoch: _Epoch, targets: "Iterable[Node] | None"
+    ) -> Sequence[Node]:
+        # By default, every answer of the served epoch: one attached by a
+        # publish still in flight is not part of it yet.
+        return epoch.answers if targets is None else list(targets)
 
-    def _target_indices(self, targets: Sequence[Node]) -> np.ndarray:
+    def _target_indices(self, epoch: _Epoch, targets: Sequence[Node]) -> np.ndarray:
         try:
-            return np.array([self._index[t] for t in targets], dtype=int)
+            return np.array([epoch.index[t] for t in targets], dtype=int)
         except KeyError as exc:
             raise NodeNotFoundError(exc.args[0]) from None
 
@@ -1093,15 +1161,13 @@ class SimilarityEngine:
         targets: Sequence[Node],
         params: SimilarityParams,
     ) -> tuple:
-        # Keyed on the matrix epoch, not the graph version: transient
-        # query attach/detach bumps the version but cannot change any
-        # served score, so cached vectors stay valid across it.  The
-        # out-links are canonicalized (sorted by node repr): two queries
-        # with identical links in different insertion order are the same
-        # propagation and must share one cache entry.  The backend name
-        # leads the key (different kernels may return different
-        # vectors), and the push tolerance is part of it so the same
-        # query at two error budgets never aliases.
+        # Each epoch owns its LRU, so the key names only the propagation.
+        # The out-links are canonicalized (sorted by node repr): two
+        # queries with identical links in different insertion order are
+        # the same propagation and must share one cache entry.  The
+        # backend name leads the key (different kernels may return
+        # different vectors), and the push tolerance is part of it so the
+        # same query at two error budgets never aliases.
         return (
             params.backend,
             tuple(sorted(links.items(), key=lambda item: repr(item[0]))),
@@ -1109,52 +1175,39 @@ class SimilarityEngine:
             params.max_length,
             params.restart_prob,
             params.push_tolerance,
-            self._epoch,
         )
 
-    def _cache_get(self, key: tuple) -> "np.ndarray | None":
+    def _cache_get(self, epoch: _Epoch, key: tuple) -> "np.ndarray | None":
         if not self._cache_size:
             return None
-        with self._state_lock:
-            scores = self._cache.get(key)
-            if scores is None:
-                self._m_cache_misses.inc()
-                return None
-            self._cache.move_to_end(key)
+        scores = epoch.lookup(key)
+        if scores is None:
+            self._m_cache_misses.inc()
+            return None
         self._m_cache_hits.inc()
         return scores
 
-    @mutator
-    def _cache_put(self, key: tuple, scores: np.ndarray) -> None:
+    def _cache_put(
+        self,
+        epoch: _Epoch,
+        key: tuple,
+        scores: np.ndarray,
+        result: "PropagationResult | None" = None,
+    ) -> None:
+        # Into the epoch the scores were computed on, even if a publish
+        # has retired it since: the successor never sees the entry.
         if not self._cache_size:
             return
-        # Cached vectors are handed back by reference on every hit (and
-        # corrected by delta revalidation): freeze them so no caller can
-        # poison every later hit for the key.
-        scores.setflags(write=False)
-        with self._state_lock:
-            if key[-1] != self._epoch:
-                # A publish landed between this serve's key computation
-                # and the insert: the vector describes a retired matrix
-                # epoch.  Inserting it would hand the next delta
-                # revalidation a wrong-basis vector to "correct" onto a
-                # live epoch — drop it; the caller still returns its
-                # (consistent, retired-epoch) scores.
-                self._m_stale_drops.inc()
-                return
-            self._cache[key] = scores
-            self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_size:
-                evicted, _ = self._cache.popitem(last=False)
-                self._push_meta.pop(evicted, None)
-            self._g_cache_entries.set(len(self._cache))
+        epoch.store(key, scores, result)
+        self._g_cache_entries.set(len(epoch))
 
     def _seed_arrays(
-        self, links: Mapping[Node, float]
+        self, epoch: _Epoch, links: Mapping[Node, float]
     ) -> tuple[np.ndarray, np.ndarray]:
         """A query's out-link mapping as (entity indices, weights)."""
+        index = epoch.index
         seed_idx = np.fromiter(
-            (self._index[entity] for entity in links),
+            (index[entity] for entity in links),
             dtype=np.int64,
             count=len(links),
         )
@@ -1165,6 +1218,7 @@ class SimilarityEngine:
 
     def _propagate_one(
         self,
+        epoch: _Epoch,
         links: Mapping[Node, float],
         target_idx: np.ndarray,
         params: SimilarityParams,
@@ -1181,15 +1235,16 @@ class SimilarityEngine:
         with trace_span(
             "engine.propagate", batch=1, max_length=params.max_length
         ):
-            seed_idx, seed_weights = self._seed_arrays(links)
+            seed_idx, seed_weights = self._seed_arrays(epoch, links)
             result = backend.propagate(
-                self._matrix, seed_idx, seed_weights, target_idx, params=params
+                epoch.matrix, seed_idx, seed_weights, target_idx, params=params
             )
         self._h_propagate.observe(time.perf_counter() - started)
         return result.scores
 
     def _propagate_many(
         self,
+        epoch: _Epoch,
         link_columns: Sequence[Mapping[Node, float]],
         target_idx: np.ndarray,
         params: SimilarityParams,
@@ -1203,22 +1258,23 @@ class SimilarityEngine:
             max_length=params.max_length,
         ):
             seed_columns = [
-                self._seed_arrays(links) for links in link_columns
+                self._seed_arrays(epoch, links) for links in link_columns
             ]
             result = backend.propagate_batch(
-                self._matrix, seed_columns, target_idx, params=params
+                epoch.matrix, seed_columns, target_idx, params=params
             )
         self._h_propagate.observe(time.perf_counter() - started)
         return result.scores
 
     def _push_compute(
         self,
+        epoch: _Epoch,
         links: Mapping[Node, float],
         target_idx: np.ndarray,
         params: SimilarityParams,
         backend: PropagationBackend,
     ) -> PropagationResult:
-        """One local-push evaluation against the maintained out-CSR.
+        """One local-push evaluation against ``epoch``'s out-CSR.
 
         Observes the touched-edge histogram (the sublinearity series)
         and, with contracts armed, checks the pushed vector against a
@@ -1228,15 +1284,10 @@ class SimilarityEngine:
         with trace_span(
             "engine.push", batch=1, max_length=params.max_length
         ) as span:
-            # Capture the in-matrix and the push state under one lock
-            # hold so both belong to the same epoch (a concurrent
-            # publish between the two reads would mix epochs).
-            with self._state_lock:
-                out_matrix, rho = self._ensure_push_state()
-                matrix = self._matrix
-            seed_idx, seed_weights = self._seed_arrays(links)
+            out_matrix, _, rho = epoch.push_state()
+            seed_idx, seed_weights = self._seed_arrays(epoch, links)
             result = backend.propagate(
-                matrix,
+                epoch.matrix,
                 seed_idx,
                 seed_weights,
                 target_idx,
@@ -1252,43 +1303,18 @@ class SimilarityEngine:
         self._h_push_edges.observe(float(result.edges_touched))
         self._h_push_error.observe(float(result.error_bound))
         if contracts_enabled():
-            links_key = tuple(links.items())
             check_push_scores(
                 result.scores,
                 self._cold_vector(
-                    links_key,
+                    epoch,
+                    tuple(links.items()),
                     target_idx,
                     params.max_length,
                     params.restart_prob,
-                    matrix=matrix,
                 ),
                 budget=result.error_bound,
                 seam="engine.push",
             )
-        return result
-
-    def _serve_push(
-        self,
-        links: Mapping[Node, float],
-        target_idx: np.ndarray,
-        params: SimilarityParams,
-        backend: PropagationBackend,
-        key: tuple,
-    ) -> PropagationResult:
-        """Serve one query via push, caching the vector + its metadata.
-
-        Returns the full :class:`PropagationResult` so the caller can
-        attribute the query's cost (``edges_touched``) and accuracy
-        (``error_bound``) — not just the scores.
-        """
-        result = self._push_compute(links, target_idx, params, backend)
-        self._m_push_serves.inc()
-        self._cache_put(key, result.scores)
-        with self._state_lock:
-            # Only track metadata for entries the put actually kept —
-            # a stale-epoch drop (or cache_size=0) stores nothing.
-            if key in self._cache:
-                self._push_meta[key] = result
         return result
 
     @serve_path
@@ -1308,16 +1334,16 @@ class SimilarityEngine:
         """
         params = params if params is not None else self.params
         backend = resolve_backend(params)
-        target_list = self._resolve_targets(targets)
         self._m_serves.inc()
-        self._flush()
+        epoch = self._serving_epoch()
+        target_list = self._resolve_targets(epoch, targets)
         # Flight-recorder attribution: one event per serve with the
         # backend, cache outcome, epoch, and (for push) the query's own
         # cost/accuracy numbers.  Disarmed cost: one load + comparison.
         rec = active_recorder()
         started = time.perf_counter() if rec is not None else 0.0
         key = self._cache_key(links, target_list, params)
-        cached = self._cache_get(key)
+        cached = self._cache_get(epoch, key)
         if cached is not None:
             if rec is not None:
                 rec.record_timed(
@@ -1326,26 +1352,27 @@ class SimilarityEngine:
                     engine=self.engine_label,
                     backend=params.backend,
                     cache="hit",
-                    epoch=self._epoch,
+                    epoch=epoch.number,
                 )
             return {t: float(s) for t, s in zip(target_list, cached)}
-        missing = [e for e in links if e not in self._index]
+        missing = [e for e in links if e not in epoch.index]
         if missing:
             raise NodeNotFoundError(missing[0])
-        target_idx = self._target_indices(target_list)
+        target_idx = self._target_indices(epoch, target_list)
         result: "PropagationResult | None" = None
         if getattr(backend, "uses_out_matrix", False):
-            result = self._serve_push(links, target_idx, params, backend, key)
+            result = self._push_compute(epoch, links, target_idx, params, backend)
+            self._m_push_serves.inc()
             vector = result.scores
         elif getattr(backend, "supports_matrix", False):
-            vector = self._propagate_one(links, target_idx, params, backend)
-            self._cache_put(key, vector)
+            vector = self._propagate_one(epoch, links, target_idx, params, backend)
         else:
             raise EvaluationError(
                 f"backend {params.backend!r} has no matrix-level kernel; "
                 f"use the graph-level API (repro.similarity.backend."
                 f"get_backend({params.backend!r}).scores(...)) instead"
             )
+        self._cache_put(epoch, key, vector, result)
         if rec is not None:
             if result is not None:
                 rec.record_timed(
@@ -1354,7 +1381,7 @@ class SimilarityEngine:
                     engine=self.engine_label,
                     backend=params.backend,
                     cache="miss",
-                    epoch=self._epoch,
+                    epoch=epoch.number,
                     edges_touched=int(result.edges_touched),
                     error_bound=float(result.error_bound),
                 )
@@ -1365,7 +1392,7 @@ class SimilarityEngine:
                     engine=self.engine_label,
                     backend=params.backend,
                     cache="miss",
-                    epoch=self._epoch,
+                    epoch=epoch.number,
                 )
         return {t: float(s) for t, s in zip(target_list, vector)}
 
@@ -1395,12 +1422,12 @@ class SimilarityEngine:
         """
         params = params if params is not None else self.params
         backend = resolve_backend(params)
-        target_list = self._resolve_targets(targets)
         query_list = list(queries)
         if not query_list:
             return {}
         self._m_batch_serves.inc()
-        self._flush()
+        epoch = self._serving_epoch()
+        target_list = self._resolve_targets(epoch, targets)
         rec = active_recorder()
         started = time.perf_counter() if rec is not None else 0.0
         links_by_query = {q: self._seed_links(q) for q in query_list}
@@ -1410,7 +1437,7 @@ class SimilarityEngine:
         for query in query_list:
             key = self._cache_key(links_by_query[query], target_list, params)
             keys[query] = key
-            cached = self._cache_get(key)
+            cached = self._cache_get(epoch, key)
             if cached is not None:
                 results[query] = {
                     t: float(s) for t, s in zip(target_list, cached)
@@ -1420,21 +1447,21 @@ class SimilarityEngine:
         if pending:
             for query in pending:
                 missing = [
-                    e for e in links_by_query[query] if e not in self._index
+                    e for e in links_by_query[query] if e not in epoch.index
                 ]
                 if missing:
                     raise NodeNotFoundError(missing[0])
-            target_idx = self._target_indices(target_list)
+            target_idx = self._target_indices(epoch, target_list)
             if getattr(backend, "uses_out_matrix", False):
                 # Push localizes per query; there is no shared dense
                 # block to stack, so batch = a loop of local pushes.
                 for query in pending:
-                    push_result = self._serve_push(
-                        links_by_query[query],
-                        target_idx,
-                        params,
-                        backend,
-                        keys[query],
+                    push_result = self._push_compute(
+                        epoch, links_by_query[query], target_idx, params, backend
+                    )
+                    self._m_push_serves.inc()
+                    self._cache_put(
+                        epoch, keys[query], push_result.scores, push_result
                     )
                     results[query] = {
                         t: float(s)
@@ -1444,6 +1471,7 @@ class SimilarityEngine:
                 backend, "propagate_batch"
             ):
                 block = self._propagate_many(
+                    epoch,
                     [links_by_query[q] for q in pending],
                     target_idx,
                     params,
@@ -1451,16 +1479,16 @@ class SimilarityEngine:
                 )
                 for column, query in enumerate(pending):
                     vector = block[:, column].copy()
-                    self._cache_put(keys[query], vector)
+                    self._cache_put(epoch, keys[query], vector)
                     results[query] = {
                         t: float(s) for t, s in zip(target_list, vector)
                     }
             elif getattr(backend, "supports_matrix", False):
                 for query in pending:
                     vector = self._propagate_one(
-                        links_by_query[query], target_idx, params, backend
+                        epoch, links_by_query[query], target_idx, params, backend
                     )
-                    self._cache_put(keys[query], vector)
+                    self._cache_put(epoch, keys[query], vector)
                     results[query] = {
                         t: float(s) for t, s in zip(target_list, vector)
                     }
@@ -1479,7 +1507,7 @@ class SimilarityEngine:
                 backend=params.backend,
                 queries=len(query_list),
                 cache_hits=len(query_list) - len(pending),
-                epoch=self._epoch,
+                epoch=epoch.number,
             )
         return {q: results[q] for q in query_list}
 
@@ -1506,8 +1534,10 @@ class SimilarityEngine:
         return ordered[:limit]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        built = self._matrix.shape[0] if self._matrix is not None else None
+        epoch = self._current
+        built = epoch.matrix.shape[0] if epoch is not None else None
+        cached = len(epoch) if epoch is not None else 0
         return (
             f"<SimilarityEngine version={self.version} nodes={built} "
-            f"cache={len(self._cache)}/{self._cache_size}>"
+            f"cache={cached}/{self._cache_size}>"
         )

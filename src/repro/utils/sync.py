@@ -23,16 +23,6 @@ Guard disciplines (the ``guard`` field grammar):
     A single bytecode-atomic operation (``deque.append``, one ``dict``
     store, a plain rebind) in the owning module; safe today under the
     GIL and documented as needing review for free-threaded builds.
-``frozen``
-    Ownership rules apply *and* every value stored must be a read-only
-    ndarray — callers must freeze with ``setflags(write=False)`` before
-    the store (rule R009; the PR 5 cache-poison bug, made impossible).
-``frozen+lock:<name>``
-    Both disciplines at once: every write must be lexically inside
-    ``with <holder>.<name>:`` *and* every value stored must be a frozen
-    ndarray.  This is the serve/optimize cache contract — the optimizer
-    worker re-keys entries under the engine lock, and readers outside
-    the lock can only ever observe immutable vectors.
 
 Decorators (consumed by the analyzer, free at runtime):
 
@@ -60,7 +50,6 @@ from typing import Callable, TypeVar
 __all__ = [
     "SharedState",
     "SHARED_STATE",
-    "FROZEN_RETURNS",
     "serve_path",
     "mutator",
     "serve_exempt",
@@ -112,9 +101,6 @@ class SharedState:
     writers:
         Extra declared cross-module writers as ``module:Class.method``
         (the owning module is always allowed).
-    rekey_apis:
-        When non-empty, R011 applies: entries may only be created,
-        re-keyed, or rebound inside these methods of the owning class.
     serve_safe:
         For ``lock:`` guards only — acquisition is cheap and permitted
         on the serve path (R010 flags acquisition of non-serve-safe
@@ -129,14 +115,13 @@ class SharedState:
     description: str
     kind: str = "attribute"
     writers: tuple = ()
-    rekey_apis: tuple = ()
     serve_safe: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("attribute", "module-global"):
             raise ValueError(f"unknown shared-state kind: {self.kind!r}")
-        ok = self.guard in ("gil-atomic", "frozen") or self.guard.startswith(
-            ("lock:", "owner:", "frozen+lock:")
+        ok = self.guard == "gil-atomic" or self.guard.startswith(
+            ("lock:", "owner:")
         )
         if not ok:
             raise ValueError(f"unknown guard discipline: {self.guard!r}")
@@ -156,119 +141,55 @@ class SharedState:
     @property
     def lock_name(self) -> "str | None":
         """The lock attribute for ``lock:`` guards (else ``None``)."""
-        if self.guard.startswith("lock:") or self.guard.startswith("frozen+lock:"):
+        if self.guard.startswith("lock:"):
             return self.guard.split(":", 1)[1]
         return None
 
-    @property
-    def frozen(self) -> bool:
-        """Whether stored values must be read-only ndarrays (R009)."""
-        return self.guard == "frozen" or self.guard.startswith("frozen+lock:")
-
 
 # ----------------------------------------------------------------------
-# The inventory.  Every attribute here is visible across the future
+# The inventory.  Every attribute here is visible across the
 # serve/optimize thread boundary; the analyzer enforces the declared
-# discipline at every write site in the tree (rule R008, plus R009 for
-# ``frozen`` and R011 where ``rekey_apis`` is declared).
+# discipline at every write site in the tree (rule R008).
 # ----------------------------------------------------------------------
 SHARED_STATE: "tuple[SharedState, ...]" = (
-    # -- serving engine: the epoch-consistent read state -----------------
+    # -- serving engine: one published epoch ------------------------------
     #
-    # Since the concurrent serve/optimize PR these are written under the
-    # engine's ``_state_lock`` (an RLock): the background optimizer
-    # worker publishes weight-patch epochs through
-    # ``SimilarityEngine.publish`` while serve threads revalidate lazily
-    # in ``_flush``.  Reads on the serve path stay lock-free — they
-    # capture object references (the CSR matrix, a cached vector) that
-    # are never mutated in place once published (copy-on-write patches).
+    # Everything a serve reads lives in one ``_Epoch`` object whose
+    # matrix and index never change after publication.  Writers (publish,
+    # or a serve applying buffered events) build the next epoch under
+    # ``_state_lock`` and publish it with one assignment; a serve reads
+    # ``_current`` once and holds no lock while it computes.
     SharedState(
-        name="SimilarityEngine._matrix",
+        name="SimilarityEngine._current",
         owner="repro.serving.engine",
         guard="lock:_state_lock",
         serve_safe=True,
-        rekey_apis=("__init__", "close", "_flush", "_rebuild", "_append_answer_rows"),
-        description="CSR truncated inverse-P-distance matrix; patched "
-        "copy-on-write (rebound, never mutated in place) so lock-free "
-        "readers keep an internally consistent epoch snapshot",
-    ),
-    SharedState(
-        name="SimilarityEngine._index",
-        owner="repro.serving.engine",
-        guard="lock:_state_lock",
-        serve_safe=True,
-        rekey_apis=("__init__", "close", "_rebuild", "_append_answer_rows"),
-        description="answer-entity -> matrix-row map, versioned with _matrix",
-    ),
-    SharedState(
-        name="SimilarityEngine._cache",
-        owner="repro.serving.engine",
-        guard="frozen+lock:_state_lock",
-        serve_safe=True,
-        rekey_apis=(
-            "__init__",
-            "close",
-            "_flush",
-            "_rekey_cache",
-            "_delta_revalidate",
-            "_cache_put",
-        ),
-        description="epoch-keyed score LRU; values are frozen ndarrays "
-        "(R009), every access holds _state_lock, and keys only change "
-        "through declared revalidation APIs (R011)",
-    ),
-    SharedState(
-        name="SimilarityEngine._push_meta",
-        owner="repro.serving.engine",
-        guard="lock:_state_lock",
-        serve_safe=True,
-        rekey_apis=(
-            "__init__",
-            "close",
-            "_flush",
-            "_rekey_cache",
-            "_delta_revalidate",
-            "_cache_put",
-            "_serve_push",
-        ),
-        description="push-backend residual metadata, keyed alongside _cache",
-    ),
-    SharedState(
-        name="SimilarityEngine._push_adj",
-        owner="repro.serving.engine",
-        guard="lock:_state_lock",
-        serve_safe=True,
-        description="push kernel adjacency snapshot for the current epoch "
-        "(copy-on-write under weight patches)",
-    ),
-    SharedState(
-        name="SimilarityEngine._push_map",
-        owner="repro.serving.engine",
-        guard="lock:_state_lock",
-        serve_safe=True,
-        description="push kernel node-id map for the current epoch",
-    ),
-    SharedState(
-        name="SimilarityEngine._push_rho",
-        owner="repro.serving.engine",
-        guard="lock:_state_lock",
-        serve_safe=True,
-        description="push kernel residual threshold for the current epoch",
-    ),
-    SharedState(
-        name="SimilarityEngine._epoch",
-        owner="repro.serving.engine",
-        guard="lock:_state_lock",
-        serve_safe=True,
-        rekey_apis=("__init__", "_flush", "_rebuild"),
-        description="monotonic revalidation epoch; cache keys embed it",
+        description="the published epoch (matrix, index, push state, score "
+        "LRU); rebound, never mutated, so a captured reference is a "
+        "consistent snapshot",
     ),
     SharedState(
         name="SimilarityEngine._events",
         owner="repro.serving.engine",
         guard="gil-atomic",
-        description="buffered graph-mutation events awaiting revalidation "
+        description="buffered graph-mutation events awaiting the next epoch "
         "(list append / swap-and-drain)",
+    ),
+    SharedState(
+        name="_Epoch._lru",
+        owner="repro.serving.engine",
+        guard="lock:_lru_lock",
+        serve_safe=True,
+        description="one epoch's score LRU of frozen vectors; serves insert "
+        "and reorder, a writer copies it for the successor epoch",
+    ),
+    SharedState(
+        name="_Epoch.push",
+        owner="repro.serving.engine",
+        guard="gil-atomic",
+        description="push-backend state for the epoch's matrix (out-edge "
+        "CSR, position map, rho); one rebind when the first push serve "
+        "builds it",
     ),
     SharedState(
         name="SimilarityEngine.params",
@@ -461,14 +382,6 @@ SHARED_STATE: "tuple[SharedState, ...]" = (
         guard="gil-atomic",
         description="process-wide armed recorder (plain rebind)",
     ),
-)
-
-
-# Functions whose returned/yielded ndarrays cross the engine boundary
-# and must therefore be frozen (R009 checks their return/yield sites in
-# addition to every store into a ``frozen`` attribute).
-FROZEN_RETURNS: "tuple[str, ...]" = (
-    "repro.serving.engine:SimilarityEngine._cache_get",
 )
 
 

@@ -1,4 +1,4 @@
-"""The concurrency analyzer: R008-R011 each catch their seeded
+"""The concurrency analyzer: R008 and R010 each catch their seeded
 violation on synthetic fixtures, the shipped tree is self-clean, and
 the serve path provably cannot reach blocking I/O — verified both on
 the real tree and by injecting an ``os.fsync`` and watching R010 fire.
@@ -36,9 +36,8 @@ STATES = (
     SharedState(
         name="Store._cache",
         owner="pkg.store",
-        guard="frozen",
-        description="epoch-keyed frozen cache",
-        rekey_apis=("__init__", "refresh"),
+        guard="gil-atomic",
+        description="single-store cache",
     ),
     SharedState(
         name="Store._count",
@@ -186,60 +185,6 @@ class TestR008:
 
 
 # ----------------------------------------------------------------------
-# R009: frozen escape analysis (the PR 5 cache-poison bug, statically)
-# ----------------------------------------------------------------------
-class TestR009:
-    def test_writable_ndarray_store_fires(self, tmp_path):
-        files = {
-            "store.py": STORE_HEADER
-            + """
-        def refresh(self, key, scores):
-            # the poison bug: a writable buffer escapes into the cache
-            self._cache[key] = scores
-    """
-        }
-        assert [r for r, _ in rules_of(tmp_path, files)] == ["R009"]
-
-    def test_frozen_store_clean(self, tmp_path):
-        files = {
-            "store.py": STORE_HEADER
-            + """
-        def refresh(self, key, scores):
-            scores.setflags(write=False)
-            self._cache[key] = scores
-    """
-        }
-        assert rules_of(tmp_path, files) == []
-
-    def test_rekeying_frozen_value_clean(self, tmp_path):
-        # Moving an already-frozen entry under a new key needs no
-        # re-freeze: reads out of the frozen store stay frozen.
-        files = {
-            "store.py": STORE_HEADER
-            + """
-        def refresh(self, old, new):
-            self._cache[new] = self._cache[old]
-    """
-        }
-        assert rules_of(tmp_path, files) == []
-
-    def test_alias_dict_store_fires(self, tmp_path):
-        # Building a replacement dict that is later swapped in must
-        # freeze every vector too.
-        files = {
-            "store.py": STORE_HEADER
-            + """
-        def refresh(self, entries):
-            rebuilt = {}
-            for key, vec in entries:
-                rebuilt[key] = vec
-            self._cache = rebuilt
-    """
-        }
-        assert [r for r, _ in rules_of(tmp_path, files)] == ["R009"]
-
-
-# ----------------------------------------------------------------------
 # R010: serve-path purity
 # ----------------------------------------------------------------------
 SERVE_DECOS = """
@@ -371,46 +316,6 @@ class TestR010:
 
 
 # ----------------------------------------------------------------------
-# R011: cache re-key discipline
-# ----------------------------------------------------------------------
-class TestR011:
-    def test_rekey_outside_allowlist_fires(self, tmp_path):
-        files = {
-            "store.py": STORE_HEADER
-            + """
-        def sneaky(self, key, v):
-            v.setflags(write=False)
-            self._cache[key] = v
-    """
-        }
-        assert [r for r, _ in rules_of(tmp_path, files)] == ["R011"]
-
-    def test_rekey_in_declared_api_clean(self, tmp_path):
-        files = {
-            "store.py": STORE_HEADER
-            + """
-        def refresh(self, key, v):
-            v.setflags(write=False)
-            self._cache[key] = v
-    """
-        }
-        assert rules_of(tmp_path, files) == []
-
-    def test_eviction_is_always_legal(self, tmp_path):
-        files = {
-            "store.py": STORE_HEADER
-            + """
-        def evict(self, key):
-            self._cache.pop(key, None)
-
-        def drop_all(self):
-            self._cache.clear()
-    """
-        }
-        assert rules_of(tmp_path, files) == []
-
-
-# ----------------------------------------------------------------------
 # engine behaviors
 # ----------------------------------------------------------------------
 class TestEngine:
@@ -430,12 +335,22 @@ class TestEngine:
             + """
         def bad(self, v):
             self._items.append(v)
+    """,
+            "serve.py": SERVE_DECOS
+            + """
 
-        def sneaky(self, key, v):
-            self._cache[key] = v
-    """
+    import os
+
+
+    @serve_path
+    def answer(q):
+        os.fsync(0)
+        return q
+    """,
         }
         root = make_pkg(tmp_path, files)
+        both = find_concurrency_violations([root], shared_state=STATES)
+        assert {v.rule for v in both} == {"R008", "R010"}
         only_r008 = find_concurrency_violations(
             [root], rules={"R008"}, shared_state=STATES
         )
@@ -446,7 +361,7 @@ class TestEngine:
             analyze_paths(["does/not/exist"])
 
     def test_concurrency_rules_constant(self):
-        assert CONCURRENCY_RULES == {"R008", "R009", "R010", "R011"}
+        assert CONCURRENCY_RULES == {"R008", "R010"}
 
     def test_report_render_and_json(self, tmp_path):
         import json
@@ -559,7 +474,7 @@ class TestCli:
         assert "unknown rule" in capsys.readouterr().err
 
     def test_lint_runs_graph_rules(self, tmp_path, capsys):
-        # lint with no rule filter now includes R008-R011 findings.
+        # lint with no rule filter now includes R008/R010 findings.
         from repro.cli import main
 
         pkg = make_pkg(
@@ -605,7 +520,7 @@ class TestRegistry:
             SharedState(
                 name="X._y",
                 owner="pkg.x",
-                guard="frozen",
+                guard="gil-atomic",
                 description="t",
                 kind="thread-local",
             )

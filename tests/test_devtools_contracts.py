@@ -290,5 +290,5 @@ class TestNormalizePathProperty:
         with pytest.raises(ContractViolation):
             # Corrupt the cached buffer directly (bypassing the graph's
             # own validation) and force a re-check.
-            engine._matrix.data[0] = np.nan  # noqa - test-only corruption
-            check_finite_csr_data(engine._matrix.data, seam="seeded")
+            engine._current.matrix.data[0] = np.nan  # noqa - test-only corruption
+            check_finite_csr_data(engine._current.matrix.data, seam="seeded")

@@ -337,14 +337,14 @@ class TestEngine:
     def test_every_rule_has_a_description(self):
         assert set(RULES) == {
             "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R008", "R009", "R010", "R011",
+            "R008", "R010",
         }
         assert all(RULES.values())
 
     def test_graph_rules_are_declared_rules(self):
         from repro.devtools.lint import GRAPH_RULES
 
-        assert GRAPH_RULES == {"R008", "R009", "R010", "R011"}
+        assert GRAPH_RULES == {"R008", "R010"}
         assert GRAPH_RULES <= set(RULES)
 
     def test_violations_to_json_shape(self):

@@ -74,17 +74,18 @@ def assert_same_csr(actual, expected):
 
 
 def assert_engine_matches_reference(engine, aug):
-    engine.revalidate()
+    engine.publish(lambda: None)
+    epoch = engine._current
     index, matrix, positions = reference_engine_csr(aug)
-    assert list(engine._index.items()) == list(index.items())
-    assert_same_csr(engine._matrix, matrix)
+    assert list(epoch.index.items()) == list(index.items())
+    assert_same_csr(epoch.matrix, matrix)
     assert_same_csr(aug.graph.adjacency_matrix(), reference_adjacency(aug.graph))
     # Every node pair in one batch, present and absent entries interleaved,
     # query edges included: each is the dict's offset or None.
     nodes = list(aug.graph.nodes())
     edges = [(head, tail) for head in nodes for tail in nodes]
-    assert engine._offsets(edges) == [positions.get(edge) for edge in edges]
-    assert engine._offsets([]) == []
+    assert epoch.offsets(edges) == [positions.get(edge) for edge in edges]
+    assert epoch.offsets([]) == []
 
 
 @st.composite

@@ -235,11 +235,57 @@ class TestDeltaRevalidation:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        patch_edges(aug, kg_edges_sorted(aug)[:5])
-        engine.revalidate()  # what the optimizer flush paths call
+        # What the optimizer flush paths do: the solve runs inside publish.
+        engine.publish(lambda: patch_edges(aug, kg_edges_sorted(aug)[:5]))
         assert engine.stats().delta_revalidations == 1
         served = engine.scores_for_query("q0", targets)
         assert engine.stats().cache_hits == 1
+        assert_matches_cold(served, aug, "q0", targets)
+
+
+class TestStalePreRebuildVector:
+    """A vector cached before a rebuild is never served after it.
+
+    Serve ``q0``, remove a KG edge out of its first entity, serve ``q1``
+    (which rebuilds), change the matrix incrementally, serve ``q0``
+    again.  The rebuilt epoch starts with an empty LRU, so the second
+    ``q0`` serve can only see a vector computed after the removal.
+    """
+
+    def rebuilt(self):
+        aug, entities = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+        targets = sorted(aug.answer_nodes, key=repr)
+        engine.scores_for_query("q0", targets)
+        removed = next(
+            edge for edge in kg_edges_sorted(aug) if edge[0] == entities[0]
+        )
+        aug.graph.remove_edge(*removed)
+        engine.scores_for_query("q1", targets)
+        assert engine.stats().builds == 2
+        return aug, entities, engine, targets, removed
+
+    def test_answer_append_after_rebuild(self):
+        aug, entities, engine, targets, _ = self.rebuilt()
+        aug.add_answer("a_late", {entities[2]: 1.0})
+        served = engine.scores_for_query("q0", targets)
+        cold = inverse_pdistance(
+            aug.graph,
+            "q0",
+            targets,
+            max_length=PARAMS.max_length,
+            restart_prob=PARAMS.restart_prob,
+        )
+        assert all(served[t] == cold[t] for t in targets)
+
+    def test_weight_patch_after_rebuild(self):
+        aug, _, engine, targets, removed = self.rebuilt()
+        patch_edges(
+            aug, [next(e for e in kg_edges_sorted(aug) if e != removed)]
+        )
+        # Contracts are armed: a delta-corrected stale vector would raise
+        # ContractViolation here.
+        served = engine.scores_for_query("q0", targets)
         assert_matches_cold(served, aug, "q0", targets)
 
 
@@ -265,16 +311,15 @@ class TestCacheBugfixes:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        # The key embeds the matrix epoch, so build it after the serve.
         key = engine._cache_key(
             engine._seed_links("q0"), tuple(targets), PARAMS
         )
-        cached = engine._cache_get(key)
+        cached = engine._current.lookup(key)
         assert cached is not None
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0] = 123.0
-        again = engine._cache_get(key)
+        again = engine._current.lookup(key)
         assert again[0] != 123.0
 
     def test_mutated_result_cannot_poison_cache(self):
@@ -292,12 +337,11 @@ class TestCacheBugfixes:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        patch_edges(aug, kg_edges_sorted(aug)[:3])
-        engine.revalidate()
+        engine.publish(lambda: patch_edges(aug, kg_edges_sorted(aug)[:3]))
         key = engine._cache_key(
             engine._seed_links("q0"), tuple(targets), PARAMS
         )
-        cached = engine._cache_get(key)
+        cached = engine._current.lookup(key)
         assert cached is not None
         assert not cached.flags.writeable
 
@@ -308,7 +352,7 @@ class TestDeltaCorrectorUnit:
         engine = SimilarityEngine(aug, params=PARAMS)
         engine.scores_for_query("q0")  # force a build
         corrector = DeltaCorrector(
-            engine._matrix,
+            engine._current.matrix,
             np.array([], dtype=np.int64),
             np.array([], dtype=np.int64),
             np.array([], dtype=float),
@@ -328,7 +372,7 @@ class TestDeltaCorrectorUnit:
         engine = SimilarityEngine(aug, params=PARAMS)
         engine.scores_for_query("q0")
         corrector = DeltaCorrector(
-            engine._matrix,
+            engine._current.matrix,
             np.array([0], dtype=np.int64),
             np.array([1], dtype=np.int64),
             np.array([0.01]),
@@ -349,7 +393,7 @@ class TestDeltaCorrectorUnit:
         engine.scores_for_query("q0")
         with pytest.raises(DeltaFallbackError):
             DeltaCorrector(
-                engine._matrix,
+                engine._current.matrix,
                 np.array([0], dtype=np.int64),
                 np.array([1], dtype=np.int64),
                 np.array([0.01]),

@@ -66,10 +66,13 @@ def assert_engine_matches_cold(engine, aug, params=PARAMS):
     batch = engine.score_batch(queries, targets, params=params)
     for query in queries:
         served = engine.scores_for_query(query, targets, params=params)
+        default = engine.scores_for_query(query, params=params)
         cold = inverse_pdistance(aug.graph, query, targets, params=params)
+        assert list(default) == targets  # every answer, in repr order
         for target in targets:
             assert served[target] == cold[target]  # bitwise, not approx
             assert batch[query][target] == cold[target]
+            assert default[target] == cold[target]
 
 
 class TestSimilarityParams:
@@ -146,7 +149,9 @@ class TestEngineBitwise:
         aug, entities = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS)
         assert_engine_matches_cold(engine, aug)
-        aug.add_answer("a_new", {entities[0]: 2.0, entities[4]: 1.0})
+        # Sorts before every existing answer, so the appended default
+        # target list must be re-sorted, not extended.
+        aug.add_answer("_a_new", {entities[0]: 2.0, entities[4]: 1.0})
         assert_engine_matches_cold(engine, aug)
         assert engine.stats().rows_appended == 1
         assert engine.stats().builds == 1  # appended, not rebuilt

@@ -1,12 +1,16 @@
 """Tests for the concurrent serve/optimize pipeline (repro/serving/worker.py).
 
-Three layers:
+Four layers:
 
 - :class:`VoteQueue` hand-off semantics — bounded blocking ``put`` with
   backpressure accounting, batched ``get``, close/wake behavior;
 - :class:`OptimizerWorker` durability — log-before-enqueue, WAL links
   round-trip, checkpoint-on-publish, recovery parity with the
   single-threaded durable path, ``from_online`` adoption;
+- epoch publication — a serve overlapping a publish reads the previous
+  epoch without waiting, a publish landing inside a serve leaves the
+  new epoch's cache clean, and serve threads racing a publisher each
+  read one published state;
 - the acceptance stress test — a serve thread recording >= 1000
   per-question score reads concurrently with a flushing worker, every
   read **bitwise** equal to what a single-threaded replay of the same
@@ -16,17 +20,20 @@ Three layers:
 
 import bisect
 import math
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.devtools.contracts import DELTA_SCORE_TOL
 from repro.errors import VoteError, WorkerError
 from repro.obs import MetricsRegistry
 from repro.optimize.online import OnlineOptimizer
 from repro.persistence import DurableStore
 from repro.serving import SimilarityEngine
 from repro.serving.worker import IngestItem, OptimizerWorker, VoteQueue
+from repro.similarity.backend import DenseBackend
 from repro.similarity.inverse_pdistance import inverse_pdistance
 from repro.votes import Vote
 from repro.votes.stream import CountPolicy
@@ -364,6 +371,204 @@ class TestWorkerDurability:
             assert kg_weights(worker.shadow) == kg_weights(aug)
             # The drain-flush checkpointed through the adopted seqs.
             assert store.snapshots.newest_seq() == BATCH_SIZE + 2
+
+
+def cold_scores(aug, query, targets, params):
+    return inverse_pdistance(aug.graph, query, targets, params=params)
+
+
+def assert_near(served, expected):
+    for target, score in expected.items():
+        assert served[target] == pytest.approx(
+            score, abs=DELTA_SCORE_TOL, rel=DELTA_SCORE_TOL
+        )
+
+
+def serve_during_publish(engine, mutate, serve):
+    """``serve()``'s result, run while ``publish`` holds after ``mutate()``."""
+    mutated, release = threading.Event(), threading.Event()
+
+    def apply():
+        mutate()
+        mutated.set()
+        assert release.wait(timeout=30.0)
+
+    def run_serve():
+        try:
+            served.append(serve())
+        except BaseException as exc:
+            served.append(exc)
+
+    publisher = threading.Thread(target=engine.publish, args=(apply,))
+    served = []
+    server = threading.Thread(target=run_serve, daemon=True)
+    publisher.start()
+    try:
+        assert mutated.wait(timeout=10.0)
+        server.start()
+        server.join(timeout=5.0)
+        assert not server.is_alive(), "serve waited for the publish"
+    finally:
+        release.set()
+        publisher.join(timeout=30.0)
+        server.join(timeout=30.0)
+    assert not publisher.is_alive()
+    (result,) = served
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+class TestEpochPublication:
+    def test_serve_during_publish_reads_previous_epoch(self):
+        aug, _ = build_scenario()
+        engine = SimilarityEngine(aug, registry=MetricsRegistry())
+        targets = sorted(aug.answer_nodes, key=repr)
+        params = engine.params
+        engine.scores_for_query("q0", targets)  # cached before the publish
+        queries = ("q0", "q1")
+        before = {q: cold_scores(aug, q, targets, params) for q in queries}
+        edge = next(iter(aug.kg_edges())).key
+        served = serve_during_publish(
+            engine,
+            lambda: aug.set_kg_weight(*edge, aug.kg_weight(*edge) * 0.5),
+            lambda: {q: engine.scores_for_query(q, targets) for q in queries},
+        )
+        # A cache hit and a miss, both on the pre-publish epoch.
+        assert served == before
+        for query in queries:
+            assert_near(
+                engine.scores_for_query(query, targets),
+                cold_scores(aug, query, targets, params),
+            )
+
+    def test_answer_attached_by_publish_waits_for_its_epoch(self):
+        aug, _ = build_scenario()
+        engine = SimilarityEngine(aug, registry=MetricsRegistry())
+        before = engine.scores_for_query("q0")  # every answer as target
+        entity = next(iter(aug.query_links("q0")))
+        served = serve_during_publish(
+            engine,
+            lambda: aug.add_answer("a_late", {entity: 1}),
+            lambda: engine.scores_for_query("q0"),
+        )
+        assert served == before
+        assert "a_late" in engine.scores_for_query("q0")
+
+    def test_publish_inside_serve_leaves_new_epoch_clean(self, monkeypatch):
+        aug, _ = build_scenario()
+        engine = SimilarityEngine(aug, registry=MetricsRegistry())
+        targets = sorted(aug.answer_nodes, key=repr)
+        params = engine.params
+        engine.scores_for_query("q1", targets)  # an entry to delta-repair
+        before = cold_scores(aug, "q0", targets, params)
+        edge = next(iter(aug.kg_edges())).key
+        propagate = DenseBackend.propagate
+        epochs = []
+
+        def propagate_then_publish(backend, *args, **kwargs):
+            if not epochs:
+                epochs.append(engine.epoch)
+                epochs.append(
+                    engine.publish(
+                        lambda: aug.set_kg_weight(
+                            *edge, aug.kg_weight(*edge) * 0.5
+                        )
+                    )
+                )
+            return propagate(backend, *args, **kwargs)
+
+        monkeypatch.setattr(DenseBackend, "propagate", propagate_then_publish)
+        # The serve computed on the epoch it captured, before the patch.
+        assert engine.scores_for_query("q0", targets) == before
+        retired, published = epochs
+        assert published == engine.epoch == retired + 1
+        key = engine._cache_key(engine._seed_links("q0"), targets, params)
+        assert engine._current.lookup(key) is None
+        monkeypatch.undo()
+        assert engine.scores_for_query("q0", targets) == cold_scores(
+            aug, "q0", targets, params
+        )
+
+
+class TestServeThreadsRace:
+    """More serve threads than cores race a publisher on a tiny LRU."""
+
+    SERVE_THREADS = 4
+
+    def test_every_serve_reads_one_published_state(self):
+        aug, _ = build_scenario(num_queries=16)
+        engine = SimilarityEngine(aug, cache_size=6, registry=MetricsRegistry())
+        targets = sorted(aug.answer_nodes, key=repr)
+        queries = sorted(aug.query_nodes, key=repr)
+        params = engine.params
+
+        def cold_state():
+            return {q: cold_scores(aug, q, targets, params) for q in queries}
+
+        states = [cold_state()]  # states[k]: after k publishes
+        engine.scores_for_query(queries[0], targets)
+        first = engine.epoch
+        edges = [edge.key for edge in aug.kg_edges()][:8]
+        observations, errors = [], []
+        published = threading.Event()
+
+        def serve(offset):
+            step = offset
+            try:
+                while not published.is_set() or step < offset + 40:
+                    query = queries[step % len(queries)]
+                    before = engine.epoch
+                    served = engine.scores_for_query(query, targets)
+                    observations.append((before, engine.epoch, query, served))
+                    step += 1
+            except BaseException as exc:
+                errors.append(exc)
+                raise
+
+        def publish_all():
+            try:
+                for head, tail in edges:
+                    engine.publish(
+                        lambda: aug.set_kg_weight(
+                            head, tail, aug.kg_weight(head, tail) * 0.8
+                        )
+                    )
+                    states.append(cold_state())
+            except BaseException as exc:
+                errors.append(exc)
+                raise
+            finally:
+                published.set()
+
+        threads = [
+            threading.Thread(target=serve, args=(i * 5,), daemon=True)
+            for i in range(self.SERVE_THREADS)
+        ]
+        threads.append(threading.Thread(target=publish_all, daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(states) == len(edges) + 1
+        assert engine.epoch == first + len(edges)
+        assert len(engine._current) <= 6
+        for before, after, query, served in observations:
+            assert any(
+                all(
+                    math.isclose(served[t], states[k][query][t], rel_tol=1e-9)
+                    for t in targets
+                )
+                for k in range(before - first, after - first + 1)
+            ), f"{query!r} served between epochs {before} and {after}"
+        assert len(observations) >= self.SERVE_THREADS * 40
 
 
 class TestConcurrentStress:
