@@ -3,9 +3,11 @@
 The seed served and optimized on one thread: every batch solve landed
 in-line in whatever ``ask()`` happened to trigger it, so a user asking a
 question behind a flush waited for the whole linear program.  The
-:class:`~repro.serving.worker.OptimizerWorker` moves the solve onto a
-background thread against a shadow graph and publishes results as
-atomic weight-patch epochs, so serve-path reads never wait on a solve.
+:class:`~repro.serving.worker.OptimizerWorker` moves the batch onto a
+background thread against a shadow graph, runs the SGP solve itself in
+a child process (so the solver's Python callbacks do not hold the GIL
+the serve loop needs), and publishes results as atomic weight-patch
+epochs, so serve-path reads never wait on a solve.
 
 This bench replays the same oracle-vote workload under three
 configurations and compares per-request latency percentiles:
@@ -13,8 +15,8 @@ configurations and compares per-request latency percentiles:
 - **idle** — the engine serving with no optimization in flight (the
   floor);
 - **concurrent** — the same serve loop while an ``OptimizerWorker``
-  ingests the votes and solves/publishes in the background (the new
-  path; asks never block on a solve or a publish);
+  ingests the votes and solves/publishes in the background (asks never
+  block on a solve or a publish);
 - **full stall** — the single-threaded ``OnlineOptimizer`` on the
   engine's graph, where a batch-triggering submit runs the solve in-line
   and the request behind it eats the whole solve latency plus the

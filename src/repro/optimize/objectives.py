@@ -74,15 +74,28 @@ def distance_objective(
         raise SGPModelError(
             f"variable id {ids.max()} outside the problem's {num_vars} variables"
         )
+    return SmoothObjective(_Distance(ids, x0, num_vars), name="distance")
 
-    def fn(x: np.ndarray) -> tuple[float, np.ndarray]:
+
+# The objective callables are module-level classes rather than closures
+# so that a problem carrying them pickles into a solver process
+# (:mod:`repro.sgp.process`).
+class _Distance:
+    """Value and gradient of ``Σ_i (x_ids[i] − x0_i)²``."""
+
+    __slots__ = ("ids", "x0", "num_vars")
+
+    def __init__(self, ids: np.ndarray, x0: np.ndarray, num_vars: int) -> None:
+        self.ids = ids
+        self.x0 = x0
+        self.num_vars = num_vars
+
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        delta = x[ids] - x0
-        grad = np.zeros(num_vars)
-        grad[ids] = 2.0 * delta
+        delta = x[self.ids] - self.x0
+        grad = np.zeros(self.num_vars)
+        grad[self.ids] = 2.0 * delta
         return float(delta @ delta), grad
-
-    return SmoothObjective(fn, name="distance")
 
 
 def sigmoid(value: "float | np.ndarray", w: float = DEFAULT_SIGMOID_W):
@@ -138,18 +151,40 @@ def sigmoid_deviation_objective(
             )
         if np.any(trust <= 0):
             raise SGPModelError("trust weights must be positive")
+    return SmoothObjective(
+        _SigmoidDeviation(ids, num_vars, shift, w, trust),
+        name="sigmoid-deviation",
+    )
 
-    def fn(x: np.ndarray) -> tuple[float, np.ndarray]:
+
+class _SigmoidDeviation:
+    """Value and gradient of ``Σ_d trust_d · sigmoid(w · (x_d − shift))``."""
+
+    __slots__ = ("ids", "num_vars", "shift", "w", "trust")
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        num_vars: int,
+        shift: float,
+        w: float,
+        trust: np.ndarray,
+    ) -> None:
+        self.ids = ids
+        self.num_vars = num_vars
+        self.shift = shift
+        self.w = w
+        self.trust = trust
+
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        grad = np.zeros(num_vars)
-        if ids.size == 0:
+        grad = np.zeros(self.num_vars)
+        if self.ids.size == 0:
             return 0.0, grad
-        d = x[ids] - shift
-        values = sigmoid(d, w)
-        grad[ids] = trust * w * values * (1.0 - values)
-        return float(np.sum(trust * values)), grad
-
-    return SmoothObjective(fn, name="sigmoid-deviation")
+        d = x[self.ids] - self.shift
+        values = sigmoid(d, self.w)
+        grad[self.ids] = self.trust * self.w * values * (1.0 - values)
+        return float(np.sum(self.trust * values)), grad
 
 
 def combined_objective(

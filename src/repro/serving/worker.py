@@ -2,8 +2,8 @@
 
 The single-threaded loop (:class:`~repro.optimize.online.OnlineOptimizer`)
 stalls every serve while a batch solves — an SGP solve takes orders of
-magnitude longer than a cached ask.  This module moves the solve off
-the serve thread:
+magnitude longer than a cached ask.  This module moves the batch work
+off the serve thread, and the solve itself out of the process:
 
 - :class:`VoteQueue` — a small bounded hand-off queue between the
   ingest (serve) thread and the worker thread.  ``put`` blocks when the
@@ -15,6 +15,23 @@ the serve thread:
   private *shadow copy* of the augmented graph, and publishes each
   solved batch to the live graph and serving engine as one atomic
   weight-patch epoch (:meth:`SimilarityEngine.publish`).
+
+Where the work runs
+-------------------
+The worker thread does everything of a batch except the numerical SGP
+solve: vote filtering, encoding, Ω, applying the solution, the publish
+diff, the WAL and the checkpoint.  The solve (SLSQP and its penalty
+fallback) runs in one child interpreter per started worker
+(:class:`~repro.sgp.process.SolverProcess`).  SLSQP calls back into
+Python on every evaluation, so on the worker thread it would hold the
+GIL for most of a solve and starve the asks; the worker thread's wait
+for the child is a pipe read, which releases it.  :meth:`start` spawns
+the child, every path out of :meth:`stop` has reaped it, and a child
+that dies mid-solve is respawned once and the request resent (a second
+death fails the batch like any solver error: it rolls back, goes back
+to pending and lands in :attr:`last_error`).  A worker that is built
+but never started spawns nothing, and :meth:`flush` on it solves
+in-process.
 
 Why a shadow graph
 ------------------
@@ -52,12 +69,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import VoteError, WorkerError
+from repro.errors import SGPSolverError, VoteError, WorkerError
 from repro.graph.augmented import AugmentedGraph
 from repro.obs import MetricsRegistry, get_registry, trace_span
 from repro.obs.recorder import active_recorder
 from repro.optimize.online import BatchOutcome, OnlineOptimizer
 from repro.persistence import DurableStore
+from repro.sgp.process import SolverProcess, installed
 from repro.utils.sync import mutator
 from repro.votes.stream import CountPolicy
 from repro.votes.types import Vote
@@ -249,7 +267,9 @@ class OptimizerWorker:
 
     The worker owns its internal optimizer exclusively (thread-confined
     to the worker thread once started); callers interact only through
-    :meth:`submit`, :meth:`stop`, and the read-only properties.
+    :meth:`submit`, :meth:`stop`, and the read-only properties.  The
+    SGP solves its thread issues run in the worker's solver process,
+    which lives from :meth:`start` to :meth:`stop`.
     """
 
     def __init__(
@@ -281,6 +301,9 @@ class OptimizerWorker:
         self.queue = VoteQueue(queue_size, registry=self.registry)
         self._max_batch = max_batch
         self._poll_interval = poll_interval
+        # The child that solves this worker's SGPs: spawned by start(),
+        # reaped when the worker thread ends (or by stop() on timeout).
+        self._solver = SolverProcess()
         self._thread: "threading.Thread | None" = None
         self._stop_event = threading.Event()
         self._drain = True
@@ -346,11 +369,22 @@ class OptimizerWorker:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "OptimizerWorker":
-        """Start the worker thread.  One-shot: a stopped worker stays stopped."""
+        """Start the solver process and the worker thread.
+
+        One-shot: a stopped worker stays stopped.  Raises
+        :class:`~repro.errors.WorkerError` when the solver process
+        cannot start.
+        """
         if self._thread is not None:
             raise WorkerError("optimizer worker already started")
         if self.queue.closed:
             raise WorkerError("optimizer worker cannot restart a closed queue")
+        try:
+            self._solver.start()
+        except SGPSolverError as exc:
+            raise WorkerError(
+                f"optimizer worker cannot start its solver process: {exc}"
+            ) from exc
         self._thread = threading.Thread(
             target=self._run, name="repro-optimizer-worker", daemon=True
         )
@@ -364,7 +398,11 @@ class OptimizerWorker:
         everything already queued, then solves and publishes any
         leftover partial batch.  With ``drain=False`` it exits at the
         next loop check; un-ingested votes survive in the WAL and a
-        recovery replays them.
+        recovery replays them.  Either way the solver process has been
+        reaped when ``stop`` returns.  If the thread does not end within
+        ``timeout``, the solver process is killed (a solve in flight
+        then fails and its batch goes back to pending) and
+        :class:`~repro.errors.WorkerError` is raised.
         """
         if self._thread is None:
             self.queue.close()
@@ -373,7 +411,8 @@ class OptimizerWorker:
         self._stop_event.set()
         self.queue.close()
         self._thread.join(timeout)
-        if self._thread.is_alive():  # pragma: no cover - defensive
+        if self._thread.is_alive():
+            self._solver.close()
             raise WorkerError(
                 f"optimizer worker did not stop within {timeout}s"
             )
@@ -428,6 +467,13 @@ class OptimizerWorker:
     # worker side
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        try:
+            with installed(self._solver):
+                self._loop()
+        finally:
+            self._solver.close()
+
+    def _loop(self) -> None:
         while True:
             if self._stop_event.is_set() and not self._drain:
                 break

@@ -11,6 +11,8 @@ building blocks in Python:
 - :mod:`repro.sgp.problem` — the problem container;
 - :mod:`repro.sgp.solver` — ``scipy.optimize`` based solvers (SLSQP and
   trust-constr) plus a penalty-method fallback;
+- :mod:`repro.sgp.process` — a child process that runs those solvers
+  for an optimizer worker, off its process's GIL;
 - :mod:`repro.sgp.condensation` — the classic iterative monomial
   condensation heuristic for signomial programs, used as an ablation
   solver.

@@ -36,7 +36,10 @@ class SmoothObjective:
     ----------
     fn:
         ``fn(x) -> (value, gradient)`` with a dense gradient the same
-        length as ``x``.
+        length as ``x``.  A problem solved in a solver process
+        (:mod:`repro.sgp.process`) travels pickled, so there ``fn`` must
+        pickle: a module-level function, a callable instance of a
+        module-level class, or a bound method — not a closure.
     name:
         Label used in solver diagnostics.
     """
@@ -71,17 +74,32 @@ class SmoothObjective:
         """The objective ``Σ λ_i · f_i`` (Eq. 19 combines two components)."""
         if not components:
             raise SGPModelError("weighted_sum needs at least one component")
+        return cls(_WeightedSum(components), name=name)
 
-        def fn(x: np.ndarray) -> tuple[float, np.ndarray]:
-            total = 0.0
-            grad = np.zeros_like(np.asarray(x, dtype=float))
-            for weight, component in components:
-                value, g = component.value_and_grad(x)
-                total += weight * value
-                grad += weight * g
-            return total, grad
 
-        return cls(fn, name=name)
+class _WeightedSum:
+    """Value and gradient of ``Σ λ_i · f_i``.
+
+    A module-level callable rather than a closure so that a problem
+    carrying it pickles into a solver process
+    (:mod:`repro.sgp.process`).
+    """
+
+    __slots__ = ("components",)
+
+    def __init__(
+        self, components: Sequence[tuple[float, SmoothObjective]]
+    ) -> None:
+        self.components = tuple(components)
+
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        total = 0.0
+        grad = np.zeros_like(np.asarray(x, dtype=float))
+        for weight, component in self.components:
+            value, g = component.value_and_grad(x)
+            total += weight * value
+            grad += weight * g
+        return total, grad
 
 
 @dataclass

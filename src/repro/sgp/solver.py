@@ -12,12 +12,17 @@ penalty weight and needs only L-BFGS-B.
 All methods evaluate constraints and gradients through the compiled
 signomial forms, so a program with hundreds of constraints and thousands
 of walk terms per constraint stays tractable.
+
+:func:`solve_sgp` keeps compilation and telemetry in the caller's
+process; its numerical part, :func:`run_solve`, runs in a solver child
+process when the calling thread installed one (:mod:`repro.sgp.process`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 from scipy import optimize
@@ -25,6 +30,7 @@ from scipy import optimize
 from repro.devtools.contracts import check_weight_bounds
 from repro.errors import SGPSolverError
 from repro.obs import get_registry, trace_span
+from repro.sgp import process
 from repro.sgp.problem import SGPProblem
 
 
@@ -277,10 +283,17 @@ def solve_sgp(
         failed point's better of {x0, x}.  The solution's ``method``
         field records ``"<method>+penalty"`` in that case.
 
+    The numerical part (:func:`run_solve`) runs in the solver process
+    installed on the calling thread, if there is one (an optimizer
+    worker's thread, see :mod:`repro.sgp.process`), and in this process
+    otherwise.  Compilation, the ``sgp.solve`` span and the solver
+    metrics stay in this process either way.
+
     Raises
     ------
     SGPSolverError
-        For unknown methods or problems without an objective.
+        For unknown methods or problems without an objective, or when
+        the solver process dies twice on one request.
     """
     problem.compile()
     problem.objective  # raises early when unset
@@ -290,32 +303,17 @@ def solve_sgp(
         num_vars=problem.num_vars,
         num_constraints=problem.num_constraints,
     ) as span:
-        if method == "slsqp":
-            solution = _solve_slsqp(problem, max_iter=max_iter, tol=tol)
-        elif method == "trust-constr":
-            solution = _solve_trust_constr(problem, max_iter=max_iter, tol=tol)
-        elif method == "penalty":
-            solution = _solve_penalty(problem, max_iter=max_iter, tol=tol)
+        options: dict[str, Any] = {
+            "method": method,
+            "max_iter": max_iter,
+            "tol": tol,
+            "fallback": fallback,
+        }
+        child = process.current()
+        if child is None:
+            solution = run_solve(problem, **options)
         else:
-            raise SGPSolverError(
-                f"unknown method {method!r}; expected 'slsqp', 'trust-constr', "
-                f"or 'penalty'"
-            )
-
-        if (
-            fallback
-            and method != "penalty"
-            and not solution.success
-            and not solution.all_satisfied
-        ):
-            retry = _solve_penalty(problem, max_iter=max_iter, tol=tol)
-            if (retry.num_satisfied, -retry.objective_value) >= (
-                solution.num_satisfied,
-                -solution.objective_value,
-            ):
-                retry.method = f"{solution.method}+penalty"
-                retry.elapsed += solution.elapsed
-                solution = retry
+            solution = child.solve(problem, options)
         span.set_attrs(
             resolved_method=solution.method,
             nit=solution.nit,
@@ -324,6 +322,48 @@ def solve_sgp(
             success=solution.success,
         )
     _record_solve_metrics(solution)
+    return solution
+
+
+def run_solve(
+    problem: SGPProblem,
+    *,
+    method: str,
+    max_iter: int,
+    tol: float,
+    fallback: bool,
+) -> SGPSolution:
+    """The method dispatch and penalty fallback of :func:`solve_sgp`.
+
+    ``problem`` arrives compiled.  Runs unchanged in the calling process
+    or in a solver process.
+    """
+    if method == "slsqp":
+        solution = _solve_slsqp(problem, max_iter=max_iter, tol=tol)
+    elif method == "trust-constr":
+        solution = _solve_trust_constr(problem, max_iter=max_iter, tol=tol)
+    elif method == "penalty":
+        solution = _solve_penalty(problem, max_iter=max_iter, tol=tol)
+    else:
+        raise SGPSolverError(
+            f"unknown method {method!r}; expected 'slsqp', 'trust-constr', "
+            f"or 'penalty'"
+        )
+
+    if (
+        fallback
+        and method != "penalty"
+        and not solution.success
+        and not solution.all_satisfied
+    ):
+        retry = _solve_penalty(problem, max_iter=max_iter, tol=tol)
+        if (retry.num_satisfied, -retry.objective_value) >= (
+            solution.num_satisfied,
+            -solution.objective_value,
+        ):
+            retry.method = f"{solution.method}+penalty"
+            retry.elapsed += solution.elapsed
+            solution = retry
     return solution
 
 

@@ -273,6 +273,24 @@ SHARED_STATE: "tuple[SharedState, ...]" = (
         description="stop-mode flag (plain bool rebind by stop(); the "
         "worker loop reads it after the stop event is set)",
     ),
+    # -- the worker's solver process --------------------------------------
+    #
+    # The worker thread spawns and respawns the child; stop() on the
+    # caller's thread kills it when the thread does not end in time, and
+    # the interpreter-exit hook kills one nobody stopped.
+    SharedState(
+        name="SolverProcess._popen",
+        owner="repro.sgp.process",
+        guard="lock:_child_lock",
+        description="the running solver child (None between a death and "
+        "its respawn, and after close)",
+    ),
+    SharedState(
+        name="SolverProcess._closed",
+        owner="repro.sgp.process",
+        guard="lock:_child_lock",
+        description="close latch; once set no request respawns the child",
+    ),
     # -- observability: registries, rings, instruments -------------------
     SharedState(
         name="MetricsRegistry._metrics",

@@ -10,7 +10,9 @@ import numpy as np
 
 from repro.graph import AugmentedGraph, helpdesk_graph
 from repro.graph.generators import perturb_weights
+from repro.optimize.online import OnlineOptimizer
 from repro.votes import GroundTruthOracle, generate_votes_from_oracle
+from repro.votes.stream import CountPolicy
 
 #: CountPolicy batch size every durable test uses; recovery must be
 #: configured identically for replay to reproduce batch boundaries.
@@ -49,3 +51,22 @@ def build_scenario(seed=0, num_queries=8, num_answers=8):
 def kg_weights(aug):
     """``(head, tail) -> weight`` for every optimizable edge."""
     return {edge.key: edge.weight for edge in aug.kg_edges()}
+
+
+def single_threaded_replay(num_queries=8):
+    """The scenario's vote stream through one in-process optimizer.
+
+    The reference the concurrent worker is compared against.  Returns
+    ``(aug, votes, optimizer, states)``: the final graph, the votes, the
+    optimizer (its history holds the batch boundaries), and a copy of
+    the graph before the first batch and after each one.
+    """
+    aug, votes = build_scenario(num_queries=num_queries)
+    replay = OnlineOptimizer(aug, policy=CountPolicy(BATCH_SIZE))
+    states = [aug.copy()]  # state 0: no batch applied
+    for vote in votes:
+        if replay.submit(vote) is not None:
+            states.append(aug.copy())
+    if replay.flush() is not None:
+        states.append(aug.copy())
+    return aug, votes, replay, states

@@ -228,3 +228,5 @@ class TestRealTree:
         assert "ext:os.fsync" not in externals
         assert "ext:open[w]" not in externals
         assert "ext:os.replace" not in externals
+        # The optimizer worker's solver process is spawned off the ask path.
+        assert not any(t.startswith("ext:subprocess.") for t in externals)

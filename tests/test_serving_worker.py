@@ -38,7 +38,12 @@ from repro.similarity.inverse_pdistance import inverse_pdistance
 from repro.votes import Vote
 from repro.votes.stream import CountPolicy
 
-from tests.durable_scenario import BATCH_SIZE, build_scenario, kg_weights
+from tests.durable_scenario import (
+    BATCH_SIZE,
+    build_scenario,
+    kg_weights,
+    single_threaded_replay,
+)
 
 
 def make_item(i=0, seq=None):
@@ -702,15 +707,10 @@ class TestConcurrentStress:
         ).value == len(published)
 
         # --- single-threaded replay of the identical scenario -------
-        ref_aug, ref_votes = build_scenario(num_queries=num_queries)
+        ref_aug, ref_votes, replay, ref_graphs = single_threaded_replay(
+            num_queries
+        )
         assert ref_votes == votes  # the scenario is fully deterministic
-        replay = OnlineOptimizer(ref_aug, policy=CountPolicy(BATCH_SIZE))
-        ref_graphs = [ref_aug.copy()]  # state 0: no batch applied
-        for vote in ref_votes:
-            if replay.submit(vote) is not None:
-                ref_graphs.append(ref_aug.copy())
-        if replay.flush() is not None:
-            ref_graphs.append(ref_aug.copy())
 
         # Same batch boundaries, same final weights — bitwise, in both
         # regimes: publication correctness does not depend on the
