@@ -170,8 +170,8 @@ def _run_full_stall():
     deployed, votes, pool = _build_workload()
     engine = SimilarityEngine(deployed)
     _warm(engine, pool)
-    # The batch's weight patches reach the engine at the next serve,
-    # still on this thread: the stall being measured.
+    # Nobody announces the batch's writes to the engine: the next serve
+    # sees the graph's version moved and rebuilds, still on this thread.
     online = OnlineOptimizer(deployed, policy=CountPolicy(BATCH_SIZE))
     submit_every = max(1, NUM_ASKS // (len(votes) + 1))
     latencies = []

@@ -35,7 +35,7 @@ from repro.devtools.contracts import DELTA_SCORE_TOL
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.generators import random_digraph
 from repro.obs import set_trace_sampling
-from repro.serving import SimilarityEngine, SimilarityParams
+from repro.serving import Patch, SimilarityEngine, SimilarityParams
 from repro.similarity.inverse_pdistance import inverse_pdistance
 from repro.utils.tables import format_table
 
@@ -106,8 +106,9 @@ def _serve_rounds(aug, engine, rounds):
         def apply(round_patches=round_patches):
             for (head, tail), scale in round_patches:
                 aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * scale)
+            return Patch(edges=[edge for edge, _ in round_patches])
 
-        engine.publish(apply)  # what the optimizer flush paths call
+        engine.publish(apply)  # what the optimizer publish paths call
         for query in queries:
             start = time.perf_counter()
             served = engine.scores_for_query(query, targets)

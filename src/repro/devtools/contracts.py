@@ -11,11 +11,12 @@ that no unit test watches continuously:
 - **posynomial validity** (Eq. 2–3): the condensation solver only ever
   condenses genuine posynomials (all coefficients positive and finite);
 - **deviation sanity** (Eq. 15): deviation variables are finite and
-  bounded, so the sigmoid objective stays in its informative regime.
+  bounded, so the sigmoid objective stays in its informative regime;
+- **patch completeness**: every publish leaves no write unannounced.
 
 This module turns those implicit invariants into *assertable contracts*
 installed at the seams (after normalization, after engine weight
-patches, on SGP construction, after each solve).  Contracts are **off
+patches and publishes, on SGP construction, after each solve).  Contracts are **off
 by default** — every check starts with a single truthiness test on a
 module-level flag, so production pays one attribute load per seam and
 nothing else.  The whole test suite runs with contracts on (see
@@ -40,6 +41,8 @@ import numpy as np
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # import cycle: graph modules install these contracts
+    from scipy import sparse
+
     from repro.graph.digraph import Node, WeightedDiGraph
     from repro.sgp.terms import Signomial
 
@@ -53,6 +56,7 @@ __all__ = [
     "check_posynomial",
     "check_monotone_deviations",
     "check_finite_csr_data",
+    "check_same_csr",
     "check_delta_scores",
     "check_push_scores",
 ]
@@ -405,4 +409,30 @@ def check_finite_csr_data(
             seam,
             f"CSR data[{position}] = {view[offset]!r} is not a finite "
             f"positive weight",
+        )
+
+
+def check_same_csr(
+    actual: "sparse.csr_matrix",
+    expected: "sparse.csr_matrix",
+    *,
+    seam: str = "engine.publish",
+) -> None:
+    """Verify two CSR matrices are identical: layout and data, bitwise.
+
+    The publish seams prove with it that a patch named every write: a
+    published epoch against a fresh build of the live graph, and the
+    live knowledge graph against the optimizer worker's shadow.
+    """
+    if not _enabled:
+        return
+    same = (
+        actual.shape == expected.shape
+        and np.array_equal(actual.indptr, expected.indptr)
+        and np.array_equal(actual.indices, expected.indices)
+        and actual.data.tobytes() == expected.data.tobytes()
+    )
+    if not same:
+        raise _violation(
+            seam, "matrices differ: a write is missing from the patch"
         )

@@ -54,6 +54,8 @@ class AugmentedGraph:
         self._entities: set[Node] = set(kg.nodes())
         self._queries: set[Node] = set()
         self._answers: set[Node] = set()
+        # Version bumps of query churn; None while an attach/detach runs.
+        self._query_bumps: "int | None" = 0
 
     # ------------------------------------------------------------------
     # roles
@@ -103,10 +105,19 @@ class AugmentedGraph:
             from the graph raise :class:`AugmentationError`.
         """
         weights = self._normalized_links(query_id, entity_counts)
-        self._graph.add_node(query_id)
-        self._queries.add(query_id)
-        for entity, weight in weights.items():
-            self._graph.add_edge(query_id, entity, weight)
+        # Restructuring is single-threaded, so the structure_version
+        # delta is exactly this attach's bumps even while another thread
+        # re-weights edges.  (Inline, not a context manager: every ask
+        # attaches a query.)
+        bumps, self._query_bumps = self._query_bumps or 0, None
+        before = self._graph.structure_version
+        try:
+            self._graph.add_node(query_id)
+            self._queries.add(query_id)
+            for entity, weight in weights.items():
+                self._graph.add_edge(query_id, entity, weight)
+        finally:
+            self._query_bumps = bumps + self._graph.structure_version - before
 
     def add_answer(self, answer_id: Node, entity_counts: Mapping[Node, float]) -> None:
         """Attach an answer node with in-links from the entities it mentions.
@@ -147,8 +158,13 @@ class AugmentedGraph:
         """Detach a query node and its links."""
         if query_id not in self._queries:
             raise NodeNotFoundError(query_id)
-        self._graph.remove_node(query_id)
-        self._queries.discard(query_id)
+        bumps, self._query_bumps = self._query_bumps or 0, None  # as add_query
+        before = self._graph.structure_version
+        try:
+            self._graph.remove_node(query_id)
+            self._queries.discard(query_id)
+        finally:
+            self._query_bumps = bumps + self._graph.structure_version - before
 
     def remove_answer(self, answer_id: Node) -> None:
         """Detach an answer node and its links."""
@@ -165,11 +181,10 @@ class AugmentedGraph:
         """The live combined graph (entities + queries + answers).
 
         Mutating this object directly bypasses the role bookkeeping;
-        prefer :meth:`set_kg_weight` for weight updates.  All mutations
-        routed through this class emit the combined graph's listener
-        events and bump its :attr:`version`, which is what lets
-        :class:`~repro.serving.engine.SimilarityEngine` maintain its
-        cached adjacency matrix incrementally.
+        prefer :meth:`set_kg_weight` for weight updates.  Every write
+        but a query attach or detach moves :attr:`persistent_version`,
+        which is how a :class:`~repro.serving.engine.SimilarityEngine`
+        notices changes nobody announced to it.
         """
         return self._graph
 
@@ -182,6 +197,21 @@ class AugmentedGraph:
         so it can key caches of anything derived from the graph.
         """
         return self._graph.version
+
+    @property
+    def persistent_version(self) -> "int | None":
+        """The version of the persistent graph: entities, KG edges, answers.
+
+        :attr:`version` minus the bumps of :meth:`add_query` and
+        :meth:`remove_query`: every other write moves it, direct
+        ``graph`` writes included.  ``None`` (equal to no version) while
+        a query attach or detach runs on another thread.
+        """
+        bumps = self._query_bumps
+        version = self._graph.version
+        if bumps is None or bumps != self._query_bumps:
+            return None
+        return version - bumps
 
     def is_kg_edge(self, head: Node, tail: Node) -> bool:
         """Whether ``head -> tail`` is an optimizable entity→entity edge."""
@@ -236,6 +266,7 @@ class AugmentedGraph:
         clone._entities = set(self._entities)
         clone._queries = set(self._queries)
         clone._answers = set(self._answers)
+        clone._query_bumps = 0
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

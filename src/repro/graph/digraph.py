@@ -13,23 +13,20 @@ The structure is a dict-of-dicts adjacency with a mirrored predecessor
 map, plus an optional cached index/CSR view for the matrix-based
 similarity code (:mod:`repro.similarity.ppr`).
 
-Mutations are observable: every change bumps a monotonically increasing
+Every mutation bumps a monotonically increasing
 :attr:`~WeightedDiGraph.version` (split into
 :attr:`~WeightedDiGraph.structure_version` for sparsity-pattern changes
-and :attr:`~WeightedDiGraph.weight_version` for weight-only updates) and
-is broadcast to registered mutation listeners.  The versioned serving
-layer (:mod:`repro.serving`) uses these hooks to keep a cached sparse
-adjacency matrix incrementally up to date instead of rebuilding it from
-the dicts on every similarity evaluation.
+and :attr:`~WeightedDiGraph.weight_version` for weight-only updates),
+which the serving layer (:mod:`repro.serving`) compares against its
+cached matrices' to catch changes nobody announced to it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Any, TypeAlias
 
 import numpy as np
 from scipy import sparse
@@ -41,10 +38,6 @@ from repro.errors import (
 )
 
 Node = Hashable
-
-#: A mutation listener: ``callback(event, *args)`` — see
-#: :meth:`WeightedDiGraph.add_listener` for the event vocabulary.
-GraphListener: TypeAlias = Callable[..., Any]
 
 #: Tolerance allowed on the "out-weights sum to at most one" invariant.
 STOCHASTIC_TOL = 1e-9
@@ -95,7 +88,6 @@ class WeightedDiGraph:
         self._index_cache: dict[Node, int] | None = None
         self._structure_version = 0
         self._weight_version = 0
-        self._listeners: list[GraphListener] = []
 
     # ------------------------------------------------------------------
     # mutation tracking
@@ -114,35 +106,6 @@ class WeightedDiGraph:
     def weight_version(self) -> int:
         """Counter bumped by weight updates on existing edges."""
         return self._weight_version
-
-    def add_listener(self, callback: GraphListener) -> None:
-        """Register a mutation listener.
-
-        ``callback(event, *args)`` is invoked synchronously after each
-        mutation with one of::
-
-            ("add_node", node)
-            ("add_edge", head, tail, weight)      # new sparsity entry
-            ("update_weight", head, tail, weight) # existing edge re-weighted
-            ("remove_edge", head, tail)
-            ("remove_node", node)
-
-        Listeners must not mutate the graph from inside the callback.
-        ``copy()``/``subgraph()`` clones start with no listeners.
-        """
-        if callback not in self._listeners:
-            self._listeners.append(callback)
-
-    def remove_listener(self, callback: GraphListener) -> None:
-        """Unregister a mutation listener; unknown callbacks are ignored."""
-        try:
-            self._listeners.remove(callback)
-        except ValueError:
-            pass
-
-    def _emit(self, event: str, *args: Any) -> None:
-        for callback in self._listeners:
-            callback(event, *args)
 
     # ------------------------------------------------------------------
     # construction
@@ -167,8 +130,6 @@ class WeightedDiGraph:
             self._pred[node] = {}
             self._invalidate_index()
             self._structure_version += 1
-            if self._listeners:
-                self._emit("add_node", node)
 
     def add_edge(self, head: Node, tail: Node, weight: float) -> None:
         """Add edge ``head -> tail``, creating missing endpoints.
@@ -197,9 +158,6 @@ class WeightedDiGraph:
             self._structure_version += 1
         else:
             self._weight_version += 1
-        if self._listeners:
-            event = "add_edge" if is_new else "update_weight"
-            self._emit(event, head, tail, float(weight))
 
     def remove_edge(self, head: Node, tail: Node) -> None:
         """Remove edge ``head -> tail``; endpoints stay in the graph."""
@@ -209,8 +167,6 @@ class WeightedDiGraph:
         del self._pred[tail][head]
         self._num_edges -= 1
         self._structure_version += 1
-        if self._listeners:
-            self._emit("remove_edge", head, tail)
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` along with every incident edge."""
@@ -224,8 +180,6 @@ class WeightedDiGraph:
         del self._pred[node]
         self._invalidate_index()
         self._structure_version += 1
-        if self._listeners:
-            self._emit("remove_node", node)
 
     def set_weight(self, head: Node, tail: Node, weight: float) -> None:
         """Update the weight of an existing edge."""
@@ -242,8 +196,6 @@ class WeightedDiGraph:
         self._succ[head][tail] = float(weight)
         self._pred[tail][head] = float(weight)
         self._weight_version += 1
-        if self._listeners:
-            self._emit("update_weight", head, tail, float(weight))
 
     def _check_weight(self, head: Node, tail: Node, weight: float) -> None:
         if not math.isfinite(weight) or weight <= 0.0:
@@ -348,8 +300,7 @@ class WeightedDiGraph:
     def copy(self) -> "WeightedDiGraph":
         """Deep copy of the structure and weights (node labels shared).
 
-        The clone has no listeners and counts one structure version per
-        node.  Its predecessor rows list in-edges in successor-iteration
+        The clone counts one structure version per node.  Its predecessor rows list in-edges in successor-iteration
         order, which may differ from this graph's in-edge order.
         """
         clone = WeightedDiGraph(strict=self.strict)

@@ -76,7 +76,6 @@ COUNTERS: frozenset[str] = frozenset(
         "engine_rebuilds_avoided_total",
         "engine_weight_patches_total",
         "engine_rows_appended_total",
-        "engine_query_events_ignored_total",
         "engine_cache_hits_total",
         "engine_cache_misses_total",
         "engine_serves_total",

@@ -32,7 +32,7 @@ def apply_edge_weights(
     new_weights: Mapping[EdgeKey, float],
     *,
     normalize: bool = True,
-) -> dict[EdgeKey, tuple[float, float]]:
+) -> tuple[dict[EdgeKey, tuple[float, float]], frozenset[EdgeKey]]:
     """Write ``{(head, tail): weight}`` into ``aug`` and re-normalize.
 
     Parameters
@@ -47,10 +47,12 @@ def apply_edge_weights(
 
     Returns
     -------
-    dict
-        ``{(head, tail): (old_weight, final_weight)}`` for every edge
-        whose weight actually changed (after normalization), which is
-        what Table III reports.
+    (changes, written)
+        ``changes`` is ``{(head, tail): (old_weight, final_weight)}``
+        for every edge whose weight actually changed (after
+        normalization), which is what Table III reports.  ``written``
+        is every edge written, changed or not: the solved keys plus,
+        when normalizing, each touched node's knowledge-graph out-row.
     """
     graph = aug.graph
     touched_nodes = {head for head, _tail in new_weights}
@@ -65,7 +67,14 @@ def apply_edge_weights(
     )
     for (head, tail), weight in new_weights.items():
         aug.set_kg_weight(head, tail, float(weight))
+    written = set(new_weights)
     if normalize:
+        written.update(
+            (head, tail)
+            for head in touched_nodes
+            for tail in graph.successors(head)
+            if aug.is_kg_edge(head, tail)
+        )
         normalize_edges(
             graph,
             nodes=touched_nodes,
@@ -87,7 +96,7 @@ def apply_edge_weights(
         final = graph.weight(head, tail)
         if abs(final - old) > CHANGE_TOL:
             changes[(head, tail)] = (old, final)
-    return changes
+    return changes, frozenset(written)
 
 
 def weight_deltas(

@@ -245,7 +245,7 @@ def solve_multi_vote(
             solver_nit=solution.nit,
         )
 
-        report.changed_edges = apply_edge_weights(
+        report.changed_edges, report.written_edges = apply_edge_weights(
             result,
             solution_edge_weights(encoded, solution),
             normalize=normalize,

@@ -49,11 +49,11 @@ from repro.votes.types import Vote, VoteSet
 class BatchOutcome:
     """One optimization pass over one batch of streamed votes.
 
-    ``edge_keys`` lists the ``(head, tail)`` knowledge-graph edges the
-    solve changed — the optimizer worker reads the solved weights for
-    exactly these keys off its shadow graph when publishing a patch
-    epoch.  ``last_seq`` is the newest WAL sequence the batch covered
-    (``None`` when the batch carried no tracked sequences), the mark a
+    ``edge_keys`` is every knowledge-graph edge the batch wrote (the
+    run's ``written_edges``); the optimizer worker publishes those whose
+    shadow weight differs from the live one as one patch epoch.
+    ``last_seq`` is the newest WAL sequence the batch covered (``None``
+    when the batch carried no tracked sequences), the mark a
     post-publish checkpoint rotates the WAL up to.
     """
 
@@ -91,9 +91,10 @@ class OnlineOptimizer:
         policy and solver options the original run used — replay is
         deterministic only under identical configuration.
 
-    A serving engine picks each batch's weight patches up at its next
-    serve; :class:`~repro.serving.worker.OptimizerWorker` publishes
-    them as one engine epoch instead.
+    A serving engine over ``aug`` rebuilds at its next serve after each
+    batch (the batch moves the graph's version);
+    :class:`~repro.serving.worker.OptimizerWorker` publishes each
+    batch's ``edge_keys`` as one patched engine epoch instead.
     """
 
     aug: AugmentedGraph
@@ -185,13 +186,11 @@ class OnlineOptimizer:
                 _, run = solve_split_merge(
                     self.aug, batch, in_place=True, **self.options
                 )
-                changed = len(run.changed_edges)
             else:
                 strategy = "multi"
                 _, run = solve_multi_vote(
                     self.aug, batch, in_place=True, **self.options
                 )
-                changed = len(run.changed_edges)
         except BaseException:
             # Roll back any weights the failed solve already wrote, so
             # a retry starts from the same graph recovery would rebuild.
@@ -213,8 +212,8 @@ class OnlineOptimizer:
             strategy=strategy,
             omega_avg=vote_omega_avg(self.aug, batch),
             elapsed=run.elapsed,
-            changed_edges=changed,
-            edge_keys=tuple(run.changed_edges),
+            changed_edges=len(run.changed_edges),
+            edge_keys=tuple(run.written_edges),
             last_seq=max(batch_seqs) if batch_seqs else None,
         )
         self.history.append(outcome)

@@ -11,6 +11,8 @@ classes now derive from :class:`OptimizeReport`, which guarantees:
   every knowledge-graph edge the run actually modified (a dataclass
   field on the batch strategies, a derived property on the greedy
   single-vote strategy);
+- ``written_edges`` — every knowledge-graph edge the run wrote, changed
+  or not: the patch an in-place run hands a serving engine;
 - ``summary()`` — a one-line human-readable digest.
 
 Subclasses keep their strategy-specific extras (constraint counts,
@@ -43,6 +45,7 @@ class OptimizeReport:
 
     elapsed: float = 0.0
     solve_time: float = 0.0
+    written_edges: frozenset = frozenset()
 
     if TYPE_CHECKING:
         # Declared here for the type checker only: every subclass provides

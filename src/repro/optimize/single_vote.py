@@ -194,11 +194,12 @@ def solve_single_votes(
                     continue
                 report.solve_time += solution.elapsed
 
-                changes = apply_edge_weights(
+                changes, written = apply_edge_weights(
                     result,
                     solution_edge_weights(encoded, solution),
                     normalize=normalize,
                 )
+                report.written_edges |= written
                 vote_span.set_attrs(
                     changed_edges=len(changes),
                     solver_nit=solution.nit,

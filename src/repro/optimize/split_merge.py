@@ -215,7 +215,7 @@ def solve_split_merge(
                 }
                 new_weights = merged_weights(base, merged, lower=lower, upper=upper)
                 report.merged_deltas = merged
-                report.changed_edges = apply_edge_weights(
+                report.changed_edges, report.written_edges = apply_edge_weights(
                     result, new_weights, normalize=normalize
                 )
             merge_span.set_attrs(changed_edges=len(report.changed_edges))

@@ -22,7 +22,7 @@ raise ``TypeError`` with a migration hint.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from time import perf_counter
 
 from repro.errors import CorpusError, EvaluationError, VoteError
@@ -36,13 +36,25 @@ from repro.optimize.report import OptimizeReport
 from repro.optimize.single_vote import solve_single_votes
 from repro.optimize.split_merge import solve_split_merge
 from repro.qa.entities import EntityVocabulary
-from repro.serving.engine import DEFAULT_CACHE_SIZE, EngineStats, SimilarityEngine
+from repro.serving.engine import (
+    DEFAULT_CACHE_SIZE,
+    EngineStats,
+    Patch,
+    SimilarityEngine,
+)
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.similarity.top_k import rank_answers
 from repro.utils.sync import mutator, serve_path
 from repro.votes.types import Vote, VoteSet
 
 __all__ = ["QASystem"]
+
+#: The optimization strategies, by ``QASystem.optimize`` name.
+_STRATEGIES: "dict[str, Callable[..., tuple[AugmentedGraph, OptimizeReport]]]" = {
+    "multi": solve_multi_vote,
+    "single": solve_single_votes,
+    "split-merge": solve_split_merge,
+}
 
 
 class QASystem:
@@ -160,9 +172,21 @@ class QASystem:
         """Engine observability snapshot, or ``None`` without an engine."""
         return self._engine.stats() if self._engine is not None else None
 
+    def _publish(self, apply: "Callable[[], Patch]") -> None:
+        """Run ``apply`` as one engine epoch (or plainly, without one)."""
+        if self._engine is not None:
+            self._engine.publish(apply)
+        else:
+            apply()
+
     # ------------------------------------------------------------------
     # corpus attachment
     # ------------------------------------------------------------------
+    def _entity_counts(self, text: str) -> dict:
+        """The graph entities ``text`` mentions, with their counts."""
+        counts = self._vocabulary.extract(text)
+        return {e: c for e, c in counts.items() if self._aug.is_entity(e)}
+
     def add_document(self, doc_id: str, text: str) -> bool:
         """Attach a HELP document as an answer node.
 
@@ -170,19 +194,21 @@ class QASystem:
         mentions no known entity — it could never be reached by a
         random walk anyway.
         """
-        counts = self._vocabulary.extract(text)
-        counts = {e: c for e, c in counts.items() if self._aug.is_entity(e)}
-        if not counts:
-            return False
-        self._aug.add_answer(doc_id, counts)
-        return True
+        return bool(self.add_documents({doc_id: text}))
 
     def add_documents(self, documents: Mapping[str, str]) -> list[str]:
-        """Attach many documents; returns the ids actually attached."""
-        attached = []
-        for doc_id, text in documents.items():
-            if self.add_document(doc_id, text):
-                attached.append(doc_id)
+        """Attach many documents as one engine epoch; returns the ids attached."""
+        attached: list[str] = []
+
+        def attach() -> Patch:
+            for doc_id, text in documents.items():
+                counts = self._entity_counts(text)
+                if counts:
+                    self._aug.add_answer(doc_id, counts)
+                    attached.append(doc_id)
+            return Patch(answers=attached)
+
+        self._publish(attach)
         return attached
 
     # ------------------------------------------------------------------
@@ -190,8 +216,7 @@ class QASystem:
     # ------------------------------------------------------------------
     def _attach_question(self, question: str, question_id: str) -> None:
         """Link a question to the graph as a query node (re-attach ok)."""
-        counts = self._vocabulary.extract(question)
-        counts = {e: c for e, c in counts.items() if self._aug.is_entity(e)}
+        counts = self._entity_counts(question)
         if not counts:
             raise CorpusError(
                 f"question {question!r} mentions no entity known to the graph"
@@ -402,6 +427,11 @@ class QASystem:
         """
         if not len(self._votes):
             raise VoteError("no pending votes to optimize against")
+        run = _STRATEGIES.get(strategy)
+        if run is None:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected {list(_STRATEGIES)}"
+            )
         num_votes = len(self._votes)
         started = perf_counter()
         options["params"] = resolve_similarity_params(
@@ -415,34 +445,16 @@ class QASystem:
         ) as span:
             reports: list[OptimizeReport] = []
 
-            def solve() -> None:
-                if strategy == "multi":
-                    _, report = solve_multi_vote(
-                        self._aug, self._votes, in_place=True, **options
-                    )
-                elif strategy == "single":
-                    _, report = solve_single_votes(
-                        self._aug, self._votes, in_place=True, **options
-                    )
-                elif strategy == "split-merge":
-                    _, report = solve_split_merge(
-                        self._aug, self._votes, in_place=True, **options
-                    )
-                else:
-                    raise ValueError(
-                        f"unknown strategy {strategy!r}; expected 'multi', "
-                        f"'single', or 'split-merge'"
-                    )
+            def solve() -> Patch:
+                _, report = run(self._aug, self._votes, in_place=True, **options)
                 reports.append(report)
+                return Patch(edges=report.written_edges)
 
-            if self._engine is not None:
-                # The whole in-place solve lands as one engine epoch,
-                # delta-revalidated off the serve path: asks on other
-                # threads read the pre-solve epoch meanwhile, and the
-                # first post-optimize ask hits a warm cache.
-                self._engine.publish(solve)
-            else:
-                solve()
+            # The whole in-place solve lands as one engine epoch,
+            # delta-revalidated off the serve path: asks on other
+            # threads read the pre-solve epoch meanwhile, and the first
+            # post-optimize ask hits a warm cache.
+            self._publish(solve)
             (report,) = reports
             span.set_attrs(
                 changed_edges=report.num_changed_edges,
@@ -493,12 +505,10 @@ class QASystem:
         from repro.graph.persistence import load_augmented_graph
 
         aug = load_augmented_graph(path)
-        old_engine = self._engine
         self._aug = aug
-        if old_engine is not None:
-            old_engine.close()
+        if self._engine is not None:
             self._engine = SimilarityEngine(
-                aug, params=self._params, cache_size=old_engine.cache_size
+                aug, params=self._params, cache_size=self._engine.cache_size
             )
         self._shown.clear()
         self._votes = VoteSet()
@@ -540,10 +550,7 @@ class QASystem:
         pairs: dict[str, str] = {}
         try:
             for question_id, text in test_questions.items():
-                counts = self._vocabulary.extract(text)
-                counts = {
-                    e: c for e, c in counts.items() if self._aug.is_entity(e)
-                }
+                counts = self._entity_counts(text)
                 if not counts or question_id not in test_pairs:
                     continue
                 if not self._aug.is_answer(test_pairs[question_id]):

@@ -9,9 +9,10 @@ This subpackage treats it as a long-lived serving asset instead:
   through the whole stack;
 - :mod:`repro.serving.engine` — :class:`SimilarityEngine`, which owns a
   versioned cached sparse adjacency matrix maintained incrementally
-  from graph mutation events (in-place weight patches, CSR row appends
-  for new documents, zero-cost query attach/detach), a bounded LRU of
-  per-query score vectors, batched serving, and observability counters;
+  from the :class:`Patch` each publish announces (in-place weight
+  patches, CSR row appends for new documents, zero-cost query
+  attach/detach), a bounded LRU of per-query score vectors, batched
+  serving, and observability counters;
 - :mod:`repro.serving.delta` — :class:`DeltaCorrector`, the exact
   delta-propagation correction that keeps the engine's cached score
   vectors warm across sparse optimizer weight patches instead of
@@ -35,6 +36,7 @@ from repro.serving.delta import (
 from repro.serving.engine import (
     DEFAULT_CACHE_SIZE,
     EngineStats,
+    Patch,
     SimilarityEngine,
 )
 #: Re-exported lazily (PEP 562): :mod:`repro.serving.worker` imports the
@@ -66,5 +68,6 @@ __all__ = [
     "DeltaCorrector",
     "DeltaFallbackError",
     "EngineStats",
+    "Patch",
     "SimilarityEngine",
 ]

@@ -11,14 +11,15 @@ asset:
   matrix over the *persistent* nodes (entities + answers), built by the
   graph's vectorized :meth:`~repro.graph.digraph.WeightedDiGraph.csr`,
   its node index and sorted answers, the push backend's state, and the
-  epoch's own score LRU.  The graph's mutation events
-  (:meth:`~repro.graph.digraph.WeightedDiGraph.add_listener`) are
-  buffered and turned into the *next* epoch, which is published by one
-  reference swap: an optimizer weight update finds its CSR entry by
-  binary search over the row's column-sorted indices (all of a flush's
-  searches run as one vectorized pass) and patches a copy of the data
-  array, and new answer (document) nodes append one CSR row — no
-  rebuild in either case;
+  epoch's own score LRU.  A writer mutates the live graph inside
+  :meth:`SimilarityEngine.publish` and returns the :class:`Patch` it
+  wrote, from which the engine builds the *next* epoch, published by
+  one reference swap: a re-weighted edge finds its CSR entry by binary
+  search over the row's column-sorted indices (one vectorized pass per
+  patch) and patches a copy of the data array, and each new answer
+  (document) appends one CSR row.  A change nobody announced moves the
+  persistent graph's version, which each epoch records, and costs the
+  next serve a rebuild;
 - query nodes never enter the matrix at all.  A query has out-links
   only, so no walk mass ever returns to it: seeding the propagation
   directly with the query's out-link weights is *bitwise identical* to
@@ -68,8 +69,9 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -78,9 +80,10 @@ from repro.devtools.contracts import (
     check_delta_scores,
     check_finite_csr_data,
     check_push_scores,
+    check_same_csr,
     contracts_enabled,
 )
-from repro.errors import EvaluationError, NodeNotFoundError
+from repro.errors import EvaluationError, GraphError, NodeNotFoundError
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
 from repro.obs import MetricsRegistry, get_registry, trace_span
@@ -142,9 +145,6 @@ class EngineStats:
     weight_patches: int = 0
     #: CSR rows appended for newly attached answer/document nodes.
     rows_appended: int = 0
-    #: Buffered mutation events that concerned transient query nodes
-    #: and were skipped without touching the matrix.
-    query_events_ignored: int = 0
     #: Score-cache hits / misses.
     cache_hits: int = 0
     cache_misses: int = 0
@@ -178,6 +178,16 @@ class EngineStats:
     #: Cumulative seconds spent delta-revalidating the score cache.
     delta_time: float = 0.0
     timings: dict = field(default_factory=dict)
+
+
+class Patch(NamedTuple):
+    """What one :meth:`SimilarityEngine.publish` batch wrote: the
+    knowledge-graph edges it re-weighted and the answers it attached.
+    The engine re-reads their weights and links off the live graph.
+    """
+
+    edges: Collection[tuple[Node, Node]] = ()
+    answers: Sequence[Node] = ()
 
 
 def _push_state(matrix: sparse.csr_matrix) -> _PushState:
@@ -222,8 +232,10 @@ class _Epoch:
     ``matrix`` (``M[i, j] = w(v_j, v_i)`` over the persistent nodes),
     ``index`` (node -> row), and ``answers`` (the answer nodes, sorted
     by ``repr``: a serve's default targets) never change once the epoch
-    is published — writers build the next epoch instead.  The score LRU
-    belongs to this epoch alone, so a vector cached here always
+    is published — writers build the next epoch instead, and
+    ``version`` is the persistent graph version the matrix reflects (or
+    ``None``, which no version equals).  The score LRU belongs to this
+    epoch alone, so a vector cached here always
     describes this matrix; every vector is frozen on the way in
     (constructor and :meth:`store`), so no caller holding a served array
     can poison a later hit.  ``push`` is built on the epoch's first push
@@ -233,6 +245,7 @@ class _Epoch:
     def __init__(
         self,
         number: int,
+        version: "int | None",
         matrix: sparse.csr_matrix,
         index: dict[Node, int],
         answers: tuple[Node, ...],
@@ -243,6 +256,7 @@ class _Epoch:
         push: "_PushState | None" = None,
     ) -> None:
         self.number = number
+        self.version = version
         self.matrix = matrix
         self.index = index
         self.answers = answers
@@ -299,8 +313,8 @@ class _Epoch:
         found by binary search over that row's indices, which are
         column-sorted by construction (built rows and appended answer
         rows alike).  All the searches advance together, one array step
-        per halving, so a flush pays a few dozen numpy calls however many
-        edges it patches.  ``None`` where an endpoint is outside the
+        per halving, so a publish pays a few dozen numpy calls however
+        many edges it patches.  ``None`` where an endpoint is outside the
         matrix (a query) or the edge is not one of its entries.
         """
         count = len(edges)
@@ -340,17 +354,15 @@ class SimilarityEngine:
     """Versioned, incrementally maintained similarity serving.
 
     All served state is one immutable epoch, ``_current``.  Writers
-    (:meth:`publish`, or a serve applying buffered mutation events)
-    build the next epoch under ``_state_lock`` and publish it with one
+    (:meth:`publish`, or a serve that finds the graph moved) build the
+    next epoch under ``_state_lock`` and publish it with one
     assignment; a serve reads ``_current`` once and never waits for a
     writer.
 
     Parameters
     ----------
     aug:
-        The live augmented graph to serve.  The engine registers a
-        mutation listener on ``aug.graph`` and must be :meth:`close`\\ d
-        (or garbage-collected) when no longer needed.
+        The live augmented graph to serve.
     params:
         Default :class:`SimilarityParams`; per-call overrides accepted.
     cache_size:
@@ -375,10 +387,10 @@ class SimilarityEngine:
     Notes
     -----
     The engine assumes the paper's augmented-graph construction
-    (Section III-A): query nodes have out-links only.  Mutations routed
-    through the :class:`~repro.graph.augmented.AugmentedGraph` /
-    :class:`~repro.graph.digraph.WeightedDiGraph` APIs are tracked
-    automatically; scores are served at the graph's current version,
+    (Section III-A): query nodes have out-links only.  Writes announced
+    through :meth:`publish` are patched into the next epoch; any other
+    write to the persistent graph moves its version and costs the next
+    serve a rebuild.  Scores are served at the graph's current state,
     except that a serve overlapping a publish on another thread reads
     the epoch before it.
     """
@@ -403,9 +415,9 @@ class SimilarityEngine:
         self._delta_enabled = bool(delta_revalidation)
         self._delta_density_threshold = float(delta_density_threshold)
         self._aug = aug
-        # Serializes writers: a publish (apply + flush) and a serve that
-        # applies buffered events.  Re-entrant because publish() holds it
-        # across apply + _flush, and a serve inside apply re-enters.
+        # Serializes writers: a publish (apply + next epoch) and a serve
+        # that rebuilds.  Re-entrant because publish() holds it across
+        # apply, and a serve inside apply re-enters.
         self._state_lock = threading.RLock()
         # Guards the LRU of every epoch this engine builds; held only
         # for one dict operation or one snapshot copy.
@@ -413,9 +425,6 @@ class SimilarityEngine:
         self.params = params if params is not None else SimilarityParams()
         self._cache_size = cache_size
         self._current: "_Epoch | None" = None
-        self._events: list[tuple] = []
-        self._listener = self._on_mutation
-        aug.graph.add_listener(self._listener)
         # Metric handles are bound once here so hot-path increments are
         # a single attribute add, never a registry lookup.
         self.registry = registry if registry is not None else get_registry()
@@ -426,7 +435,6 @@ class SimilarityEngine:
         self._m_rebuilds_avoided = counter("engine_rebuilds_avoided_total", **label)
         self._m_weight_patches = counter("engine_weight_patches_total", **label)
         self._m_rows_appended = counter("engine_rows_appended_total", **label)
-        self._m_query_events = counter("engine_query_events_ignored_total", **label)
         self._m_cache_hits = counter("engine_cache_hits_total", **label)
         self._m_cache_misses = counter("engine_cache_misses_total", **label)
         self._m_serves = counter("engine_serves_total", **label)
@@ -465,11 +473,9 @@ class SimilarityEngine:
     # ------------------------------------------------------------------
     @mutator
     def close(self) -> None:
-        """Detach from the graph's mutation feed and drop caches."""
-        self._aug.graph.remove_listener(self._listener)
+        """Drop the published epoch and its caches; a later serve rebuilds."""
         with self._state_lock:
             self._current = None
-        self._events.clear()
 
     @property
     def version(self) -> int:
@@ -504,7 +510,6 @@ class SimilarityEngine:
             rebuilds_avoided=int(self._m_rebuilds_avoided.value),
             weight_patches=int(self._m_weight_patches.value),
             rows_appended=int(self._m_rows_appended.value),
-            query_events_ignored=int(self._m_query_events.value),
             cache_hits=int(self._m_cache_hits.value),
             cache_misses=int(self._m_cache_misses.value),
             cache_entries=entries,
@@ -529,178 +534,119 @@ class SimilarityEngine:
         )
 
     # ------------------------------------------------------------------
-    # writers: mutation feed -> next epoch
+    # writers: announced patches and version checks -> next epoch
     # ------------------------------------------------------------------
-    @mutator
-    def _on_mutation(self, event: str, *args) -> None:
-        # Buffered: events are coalesced and applied lazily at the next
-        # serve or publish, so a burst of optimizer updates costs one pass.
-        self._events.append((event, *args))
+    def _fresh(self, epoch: _Epoch) -> bool:
+        """Whether ``epoch`` still reflects the persistent graph."""
+        return (
+            epoch.version is not None
+            and epoch.version == self._aug.persistent_version
+        )
 
     @mutator
-    def publish(self, apply: "Callable[[], object]") -> int:
-        """Apply a mutation batch and publish it as one epoch.
+    def publish(self, apply: "Callable[[], Patch | None]") -> int:
+        """Apply one batch to the live graph and publish it as one epoch.
 
-        ``apply`` mutates the live graph (a solved batch's weight
-        patches, or a whole in-place solve); the engine holds
-        ``_state_lock`` across it *and* the flush that follows, so the
-        batch lands in exactly one published epoch.  Serves on other
-        threads never wait for it: they read the previous epoch until
-        the new one is swapped in, and then the new one — never a tear.
+        ``apply`` mutates the live graph and returns the :class:`Patch`
+        it wrote; ``_state_lock`` is held across it *and* the next
+        epoch's build, while serves on other threads read the previous
+        epoch.  A version that moved before ``apply``, or behind an
+        empty patch, means unannounced writes: the publish rebuilds.  An
+        empty patch on an unmoved graph publishes nothing, and before
+        the first build ``apply`` only runs.  If ``apply`` raises,
+        nothing is published; the version tells the next serve.
 
-        Returns the number of the epoch serving the batch.
+        Returns the number of the epoch serving the batch (0 before the
+        first build).
         """
         with self._state_lock:
-            apply()
-            return self._flush().number
+            before = self._current
+            fresh = before is not None and self._fresh(before)
+            patch = apply() or Patch()
+            current = self._current
+            if current is None:
+                return 0
+            if not fresh:
+                return self._catch_up().number
+            epoch = self._advance(current, patch)
+            if epoch is not current:
+                self._current = epoch
+                self._g_cache_entries.set(len(epoch))
+            # Contract seam: the patch named every write, so the epoch
+            # equals a fresh build.  No-op unless REPRO_CONTRACTS is on.
+            if contracts_enabled():
+                check_same_csr(
+                    epoch.matrix,
+                    self._aug.graph.csr(epoch.index),
+                    seam="engine.publish",
+                )
+            return epoch.number
 
     def _serving_epoch(self) -> _Epoch:
         """The epoch a serve reads: ``_current``, caught up when free to.
 
-        Pending mutation events are applied first if ``_state_lock`` is
-        free; if a writer holds it, the serve reads the previous epoch
-        rather than wait.  Only a serve before the first build blocks.
+        A serve that sees the version moved rebuilds if ``_state_lock``
+        is free; a publish holding it is writing the live graph, and the
+        serve reads the previous epoch rather than wait.  Only a serve
+        before the first build blocks.
         """
         epoch = self._current
         if epoch is None:
-            return self._flush()
-        if not self._events:
+            return self._catch_up()
+        if self._fresh(epoch):
             self._m_rebuilds_avoided.inc()
             return epoch
         if not self._state_lock.acquire(blocking=False):
             return epoch
         try:
-            return self._flush()
+            return self._catch_up()
         finally:
             self._state_lock.release()
 
     @mutator
-    def _flush(self) -> _Epoch:
-        """Apply buffered mutations and publish the next epoch, if any.
-
-        Runs under ``_state_lock``.  The next epoch is built from locals
-        — a copy-on-write data array, a copied index, its own LRU — and
-        published by one assignment to ``_current``, so a serve holding
-        the previous epoch keeps a consistent snapshot.  Query-only
-        events publish nothing.
-        """
+    def _catch_up(self) -> _Epoch:
+        """``_current`` if it reflects the graph, else a rebuild of it."""
         with self._state_lock:
-            events, self._events = self._events, []
             current = self._current
-            if current is None:
-                epoch = self._rebuild(1)
-            elif events:
-                epoch = self._advance(current, events)
-            else:
-                self._m_rebuilds_avoided.inc()
+            if current is not None and self._fresh(current):
                 return current
-            if epoch is not current:
-                self._current = epoch
-                self._g_cache_entries.set(len(epoch))
+            epoch = self._rebuild(current.number + 1 if current is not None else 1)
+            self._current = epoch
+            self._g_cache_entries.set(len(epoch))
             return epoch
 
-    def _is_transient(self, node: Node, index: Mapping[Node, int]) -> bool:
-        """Whether ``node`` is (or was) a query node the matrix excludes."""
-        if self._aug.is_query(node):
-            return True
-        # A node that vanished before the flush and never made it into
-        # the matrix was a transient attach/detach (detached queries are
-        # already gone from the role sets when events are processed).
-        return (
-            node not in index
-            and not self._aug.is_answer(node)
-            and not self._aug.is_entity(node)
-        )
+    def _advance(self, current: _Epoch, patch: Patch) -> _Epoch:
+        """``current`` with ``patch`` applied: weights patched, rows appended.
 
-    def _advance(self, current: _Epoch, events: list[tuple]) -> _Epoch:
-        """The epoch after ``events``: patched, appended, or rebuilt.
-
-        Returns ``current`` itself when every event concerned transient
-        query nodes.
+        ``current`` itself for an empty patch on an unmoved graph; a
+        rebuild when the patch cannot account for the change.
         """
-        index = current.index
-        patches: list[tuple[int, float]] = []
-        patch_edges: dict[int, tuple[Node, Node]] = {}
-        new_answers: list[Node] = []
-        new_answer_set: set[Node] = set()
-        rebuild = False
-        ignored = 0  # transient-query events, counted in one batch below
-        # One offset per edge event, in event order.
-        offsets = iter(
-            current.offsets(
-                [
-                    event[1:3]
-                    for event in events
-                    if event[0] == "update_weight" or event[0] == "add_edge"
-                ]
-            )
-        )
-        for event in events:
-            kind = event[0]
-            if kind == "update_weight":
-                _, head, tail, weight = event
-                position = next(offsets)
-                if position is not None:
-                    patches.append((position, weight))
-                    patch_edges[position] = (head, tail)
-                elif tail in new_answer_set or self._is_transient(head, index) or (
-                    self._is_transient(tail, index)
-                ):
-                    ignored += 1
-                else:
-                    rebuild = True
-                    break
-            elif kind == "add_node":
-                node = event[1]
-                if self._aug.is_answer(node) and node not in index:
-                    new_answers.append(node)
-                    new_answer_set.add(node)
-                elif self._is_transient(node, index):
-                    ignored += 1
-                else:
-                    rebuild = True  # a new entity: sparsity pattern changes
-                    break
-            elif kind == "add_edge":
-                _, head, tail, weight = event
-                position = next(offsets)
-                if tail in new_answer_set:
-                    continue  # the appended row is read from the live graph
-                if self._is_transient(head, index) or self._is_transient(
-                    tail, index
-                ):
-                    ignored += 1
-                    continue
-                if position is not None:
-                    patches.append((position, weight))
-                    patch_edges[position] = (head, tail)
-                else:
-                    rebuild = True
-                    break
-            else:  # "remove_edge" / "remove_node"
-                involved = event[1:3] if kind == "remove_edge" else event[1:2]
-                if any(self._is_transient(node, index) for node in involved):
-                    ignored += 1
-                    continue
-                rebuild = True
-                break
-        if ignored:
-            self._m_query_events.inc(ignored)
-        if rebuild:
+        version = self._aug.persistent_version
+        edges = list(patch.edges)
+        answers = [node for node in patch.answers if node not in current.index]
+        if not edges and not answers and version == current.version:
+            self._m_rebuilds_avoided.inc()
+            return current
+        offsets = current.offsets(edges)
+        if None in offsets or not (edges or answers):
             return self._rebuild(current.number + 1)
         epoch = current
-        if patches:
-            epoch = self._patch(epoch, patches, patch_edges)
-        if new_answers:
-            try:
-                epoch = self._append_answer_rows(epoch, new_answers)
-            except KeyError:
-                return self._rebuild(current.number + 1)
+        try:
+            if edges:
+                epoch = self._patch(epoch, version, offsets, edges)
+            if answers:
+                epoch = self._append_answer_rows(epoch, version, answers)
+        except (KeyError, GraphError):
+            # An announced edge is gone, or an answer links outside the
+            # matrix: structural changes only a rebuild applies.
+            return self._rebuild(current.number + 1)
         self._m_rebuilds_avoided.inc()
         return epoch
 
     def _new_epoch(
         self,
         number: int,
+        version: "int | None",
         matrix: sparse.csr_matrix,
         index: dict[Node, int],
         answers: tuple[Node, ...],
@@ -710,6 +656,7 @@ class SimilarityEngine:
     ) -> _Epoch:
         return _Epoch(
             number,
+            version,
             matrix,
             index,
             answers,
@@ -729,9 +676,12 @@ class SimilarityEngine:
         :meth:`~repro.graph.digraph.WeightedDiGraph.adjacency_matrix`
         has, so propagation results match it bitwise.  Edges into a
         query node (none exist by construction) are left out with the
-        query rows.  The epoch's LRU starts empty.
+        query rows.  The epoch's LRU starts empty.  The version is read
+        before the graph, so a write racing the build can only make the
+        epoch look stale, never current.
         """
         started = time.perf_counter()
+        version = self._aug.persistent_version
         with trace_span("engine.rebuild") as span:
             is_query = self._aug.is_query
             persistent = (
@@ -744,40 +694,40 @@ class SimilarityEngine:
         self._m_builds.inc()
         self._h_build.observe(time.perf_counter() - started)
         answers = tuple(sorted(self._aug.answer_nodes, key=repr))
-        return self._new_epoch(number, matrix, index, answers)
+        return self._new_epoch(number, version, matrix, index, answers)
 
     def _patch(
         self,
         prev: _Epoch,
-        patches: list[tuple[int, float]],
-        patch_edges: dict[int, tuple[Node, Node]],
+        version: "int | None",
+        offsets: "Sequence[int | None]",
+        edges: Sequence[tuple[Node, Node]],
     ) -> _Epoch:
-        """The epoch after in-place weight patches, applied copy-on-write.
+        """The epoch after re-reading ``edges``' weights, copy-on-write.
 
-        The data array is copied, patched, and rebound as a fresh matrix
-        sharing the (immutable) index structure.  The predecessor's push
-        out-CSR, if built, is patched in lock-step.  The LRU starts from
-        the predecessor's entries, delta-repaired, or empty when delta
-        revalidation is off.
+        ``offsets`` are the edges' positions in the matrix's data.  The
+        data array is copied, those entries re-read from the live graph,
+        and rebound as a fresh matrix sharing the (immutable) index
+        structure.  The predecessor's push out-CSR, if built, is patched
+        in lock-step.  The LRU starts from the predecessor's entries,
+        delta-repaired, or empty when delta revalidation is off.
         """
         matrix = prev.matrix
         data = matrix.data.copy()
-        positions = np.unique(
-            np.fromiter(
-                (position for position, _ in patches),
-                dtype=np.int64,
-                count=len(patches),
-            )
+        positions, first = np.unique(
+            np.asarray(offsets, dtype=np.int64), return_index=True
         )
         old_values = data[positions]
-        for position, weight in patches:
-            data[position] = weight
+        weight = self._aug.graph.weight
+        data[positions] = np.fromiter(
+            (weight(*edges[i]) for i in first.tolist()),
+            dtype=np.float64,
+            count=positions.size,
+        )
         # Contract seam: every patched CSR entry is a finite positive
         # weight.  No-op unless REPRO_CONTRACTS is on.
         check_finite_csr_data(
-            data,
-            positions=[position for position, _ in patches],
-            seam="engine.patch",
+            data, positions=positions.tolist(), seam="engine.patch"
         )
         push = prev.push
         if push is not None:
@@ -787,14 +737,9 @@ class SimilarityEngine:
             adj, push_map, rho = push
             adj_data = adj.data.copy()
             adj_data[push_map[positions]] = data[positions]
-            heads = np.unique(
-                np.fromiter(
-                    (prev.index[patch_edges[int(p)][0]] for p in positions),
-                    dtype=np.int64,
-                    count=positions.size,
-                )
-            )
-            for row in heads:
+            # Edge head -> tail is M[index[tail], index[head]]: heads are
+            # the patched entries' columns.
+            for row in np.unique(matrix.indices[positions]):
                 row_sum = float(
                     adj_data[adj.indptr[row] : adj.indptr[row + 1]].sum()
                 )
@@ -807,9 +752,10 @@ class SimilarityEngine:
                 push_map,
                 rho,
             )
-        self._m_weight_patches.inc(len(patches))
+        self._m_weight_patches.inc(positions.size)
         epoch = self._new_epoch(
             prev.number + 1,
+            version,
             sparse.csr_matrix(
                 (data, matrix.indices, matrix.indptr), shape=matrix.shape
             ),
@@ -820,12 +766,12 @@ class SimilarityEngine:
         if self._delta_enabled and self._cache_size:
             entries = prev.entries()
             if entries:
-                self._delta_revalidate(
-                    epoch, entries, positions, old_values, patch_edges
-                )
+                self._delta_revalidate(epoch, entries, positions, old_values)
         return epoch
 
-    def _append_answer_rows(self, prev: _Epoch, answers: Sequence[Node]) -> _Epoch:
+    def _append_answer_rows(
+        self, prev: _Epoch, version: "int | None", answers: Sequence[Node]
+    ) -> _Epoch:
         """The epoch with one empty column + one in-link row per answer.
 
         Answer nodes have no out-edges, so their columns stay empty; all
@@ -874,6 +820,7 @@ class SimilarityEngine:
             self._m_delta_rekeys.inc(len(carried))
         return self._new_epoch(
             prev.number + 1,
+            version,
             appended,
             index,
             tuple(sorted(prev.answers + tuple(answers), key=repr)),
@@ -911,7 +858,6 @@ class SimilarityEngine:
         entries: "list[tuple[tuple, _Entry]]",
         positions: np.ndarray,
         old_values: np.ndarray,
-        patch_edges: "dict[int, tuple[Node, Node]]",
     ) -> None:
         """Fill the patched ``epoch``'s LRU with repaired predecessor entries.
 
@@ -931,7 +877,8 @@ class SimilarityEngine:
         - entries of any other (third-party) backend are dropped:
           the engine knows no repair rule for them.
         """
-        deltas = epoch.matrix.data[positions] - old_values
+        matrix = epoch.matrix
+        deltas = matrix.data[positions] - old_values
         changed = np.flatnonzero(deltas)
         if changed.size == 0:
             # The "patch" rewrote identical weights; nothing can differ.
@@ -954,26 +901,14 @@ class SimilarityEngine:
                 entries=len(dense_keys),
             ) as span:
                 try:
-                    rows = np.fromiter(
-                        (
-                            index[patch_edges[int(p)][1]]
-                            for p in positions[changed]
-                        ),
-                        dtype=np.int64,
-                        count=changed.size,
-                    )
-                    cols = np.fromiter(
-                        (
-                            index[patch_edges[int(p)][0]]
-                            for p in positions[changed]
-                        ),
-                        dtype=np.int64,
-                        count=changed.size,
-                    )
+                    # A data position's row (the edge's tail) is the
+                    # indptr bucket holding it; its column (the head)
+                    # is indices[position].
+                    moved = positions[changed]
                     corrector = DeltaCorrector(
-                        epoch.matrix,
-                        rows,
-                        cols,
+                        matrix,
+                        np.searchsorted(matrix.indptr, moved, side="right") - 1,
+                        matrix.indices[moved].astype(np.int64),
                         deltas[changed],
                         max_length=max_length,
                         density_threshold=self._delta_density_threshold,
@@ -1047,16 +982,7 @@ class SimilarityEngine:
         kept: set[tuple] = set()
         if push_keys:
             rho = epoch.push_state()[2]
-            changed_heads = np.unique(
-                np.fromiter(
-                    (
-                        index[patch_edges[int(p)][0]]
-                        for p in positions[changed]
-                    ),
-                    dtype=np.int64,
-                    count=changed.size,
-                )
-            )
+            changed_heads = np.unique(matrix.indices[positions[changed]])
             for key in push_keys:
                 meta = cached[key][1]
                 if (

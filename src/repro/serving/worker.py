@@ -19,8 +19,8 @@ off the serve thread, and the solve itself out of the process:
 Where the work runs
 -------------------
 The worker thread does everything of a batch except the numerical SGP
-solve: vote filtering, encoding, Ω, applying the solution, the publish
-diff, the WAL and the checkpoint.  The solve (SLSQP and its penalty
+solve: vote filtering, encoding, Ω, applying the solution, the
+publish, the WAL and the checkpoint.  The solve (SLSQP and its penalty
 fallback) runs in one child interpreter per started worker
 (:class:`~repro.sgp.process.SolverProcess`).  SLSQP calls back into
 Python on every evaluation, so on the worker thread it would hold the
@@ -39,7 +39,8 @@ The solvers mutate edge weights in place over many seconds; letting
 them run on the live graph would expose serves to half-applied solves.
 The shadow is a deep copy taken at construction, kept current by the
 worker itself: every published batch lands on both graphs, so shadow
-and live knowledge-graph weights are identical between publications.
+and live knowledge-graph weights are identical between publications,
+and a publish need only compare the edges the batch wrote.
 Query attachments diverge by design — the worker attaches only *voted*
 queries to the shadow (from the links captured at submit time), while
 the live graph carries every transient serve-time question.  Query
@@ -69,12 +70,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.devtools.contracts import check_same_csr, contracts_enabled
 from repro.errors import SGPSolverError, VoteError, WorkerError
 from repro.graph.augmented import AugmentedGraph
 from repro.obs import MetricsRegistry, get_registry, trace_span
 from repro.obs.recorder import active_recorder
 from repro.optimize.online import BatchOutcome, OnlineOptimizer
 from repro.persistence import DurableStore
+from repro.serving.engine import Patch
 from repro.sgp.process import SolverProcess, installed
 from repro.utils.sync import mutator
 from repro.votes.stream import CountPolicy
@@ -533,24 +536,31 @@ class OptimizerWorker:
         return outcome
 
     def _publish(self, outcome: BatchOutcome) -> None:
-        """Apply one solved batch to the live graph as an atomic epoch."""
+        """Publish the batch's written edges that differ from live as one epoch."""
         shadow = self._online.aug
-        # Diff the graphs instead of trusting ``outcome.edge_keys``:
-        # that list is tolerance-filtered for reporting, and
-        # normalization can nudge out-edges that were never solver
-        # variables — a sub-tolerance drift left unpublished would
-        # desync the live graph from the shadow bitwise.
+        live = self._aug
         patch = [
-            (edge.key[0], edge.key[1], edge.weight)
-            for edge in shadow.kg_edges()
-            if self._aug.kg_weight(*edge.key) != edge.weight
+            (head, tail, weight)
+            for head, tail in outcome.edge_keys
+            if (weight := shadow.kg_weight(head, tail))
+            != live.kg_weight(head, tail)
         ]
         started = time.perf_counter()
         with trace_span("optimize.publish") as span:
 
-            def apply() -> None:
+            def apply() -> Patch:
                 for head, tail, weight in patch:
-                    self._aug.set_kg_weight(head, tail, weight)
+                    live.set_kg_weight(head, tail, weight)
+                # Contract seam: the written set covered the batch, so
+                # live equals shadow.  No-op unless REPRO_CONTRACTS is on.
+                if contracts_enabled():
+                    index = {node: i for i, node in enumerate(shadow.entity_nodes)}
+                    check_same_csr(
+                        live.graph.csr(index),
+                        shadow.graph.csr(index),
+                        seam="optimize.publish",
+                    )
+                return Patch(edges=[(head, tail) for head, tail, _ in patch])
 
             if self._engine is not None:
                 epoch = self._engine.publish(apply)

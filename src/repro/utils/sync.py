@@ -156,9 +156,9 @@ SHARED_STATE: "tuple[SharedState, ...]" = (
     #
     # Everything a serve reads lives in one ``_Epoch`` object whose
     # matrix and index never change after publication.  Writers (publish,
-    # or a serve applying buffered events) build the next epoch under
-    # ``_state_lock`` and publish it with one assignment; a serve reads
-    # ``_current`` once and holds no lock while it computes.
+    # or a serve that finds the graph's version moved) build the next
+    # epoch under ``_state_lock`` and publish it with one assignment; a
+    # serve reads ``_current`` once and holds no lock while it computes.
     SharedState(
         name="SimilarityEngine._current",
         owner="repro.serving.engine",
@@ -167,13 +167,6 @@ SHARED_STATE: "tuple[SharedState, ...]" = (
         description="the published epoch (matrix, index, push state, score "
         "LRU); rebound, never mutated, so a captured reference is a "
         "consistent snapshot",
-    ),
-    SharedState(
-        name="SimilarityEngine._events",
-        owner="repro.serving.engine",
-        guard="gil-atomic",
-        description="buffered graph-mutation events awaiting the next epoch "
-        "(list append / swap-and-drain)",
     ),
     SharedState(
         name="_Epoch._lru",
@@ -190,6 +183,13 @@ SHARED_STATE: "tuple[SharedState, ...]" = (
         description="push-backend state for the epoch's matrix (out-edge "
         "CSR, position map, rho); one rebind when the first push serve "
         "builds it",
+    ),
+    SharedState(
+        name="AugmentedGraph._query_bumps",
+        owner="repro.graph.augmented",
+        guard="gil-atomic",
+        description="version bumps of query churn, subtracted from the "
+        "persistent version; None while a serve-thread attach runs",
     ),
     SharedState(
         name="SimilarityEngine.params",

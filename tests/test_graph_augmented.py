@@ -136,6 +136,60 @@ class TestCopy:
         assert clone.query_nodes == aug.query_nodes
 
 
+class TestPersistentVersion:
+    def test_query_churn_leaves_it(self, aug):
+        version = aug.persistent_version
+        aug.add_query("q2", {"send": 1})
+        aug.remove_query("q1")
+        assert aug.persistent_version == version
+        assert aug.version > version  # the graph itself did move
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda aug: aug.set_kg_weight("email", "outbox", 0.1),
+            lambda aug: aug.add_answer("a3", {"email": 1}),
+            lambda aug: aug.remove_answer("a1"),
+            # Direct graph writes move it, query links included.
+            lambda aug: aug.graph.set_weight("q1", "send", 0.9),
+            lambda aug: aug.graph.remove_edge("email", "send"),
+        ],
+    )
+    def test_every_other_write_moves_it(self, aug, write):
+        version = aug.persistent_version
+        write(aug)
+        assert aug.persistent_version != version
+
+    def test_unknown_while_churn_runs(self, aug):
+        # What a reader on another thread sees mid attach or detach.
+        seen = []
+        add_edge, remove_edge = aug.graph.add_edge, aug.graph.remove_edge
+        aug.graph.add_edge = lambda *args: (
+            seen.append(aug.persistent_version), add_edge(*args)
+        )
+        aug.graph.remove_edge = lambda *args: (
+            seen.append(aug.persistent_version), remove_edge(*args)
+        )
+        version = aug.persistent_version
+        aug.add_query("q2", {"send": 1, "email": 1})
+        aug.remove_query("q2")
+        assert len(seen) == 4 and set(seen) == {None}
+        assert aug.persistent_version == version
+
+    def test_failed_attach_keeps_count(self, aug):
+        version = aug.persistent_version
+        with pytest.raises(AugmentationError):
+            aug.add_query("q2", {"nowhere": 1})
+        assert aug.persistent_version == version
+
+    def test_copy_counts_its_own(self, aug):
+        clone = aug.copy()
+        version = clone.persistent_version
+        assert version is not None
+        clone.add_query("q2", {"send": 1})
+        assert clone.persistent_version == version
+
+
 class TestBulkAttach:
     def test_attach_queries_and_answers(self, kg):
         aug = attach_queries_and_answers(
@@ -232,8 +286,7 @@ class TestConstructionFromKg:
         assert aug.query_nodes == aug.answer_nodes == frozenset()
 
     def test_detached_from_kg(self, source):
-        events = []
-        source.add_listener(lambda *event: events.append(event))
+        version = source.version
         before = (
             _rows(source, source.successors),
             _rows(source, source.predecessors),
@@ -242,7 +295,7 @@ class TestConstructionFromKg:
         aug.set_kg_weight("email", "outbox", 0.1)
         aug.graph.remove_edge("outbox", "outlook")
         aug.add_answer("a1", {"outlook": 1})
-        assert events == []
+        assert source.version == version
         assert (
             _rows(source, source.successors),
             _rows(source, source.predecessors),

@@ -284,13 +284,12 @@ class TestCopySemantics:
         lax.add_edge("a", "b", 1.5)
         assert not lax.copy().strict
 
-    def test_listeners_not_copied(self, reordered):
-        events = []
-        reordered.add_listener(lambda *event: events.append(event))
+    def test_clone_writes_leave_source_version(self, reordered):
+        version = reordered.version
         clone = reordered.copy()
         clone.set_weight("a", "x", 0.3)
         clone.add_edge("y", "a", 0.1)
-        assert events == []
+        assert reordered.version == version
 
     def test_no_inner_dict_shared(self, reordered):
         before_succ = _succ_rows(reordered)

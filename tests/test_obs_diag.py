@@ -26,7 +26,7 @@ from repro.obs.diag import (
     render_health_report,
 )
 from repro.obs.recorder import arm_recorder, disarm_recorder
-from repro.serving import SimilarityEngine, SimilarityParams
+from repro.serving import Patch, SimilarityEngine, SimilarityParams
 
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
@@ -171,10 +171,14 @@ class TestEndToEndAcceptance:
         engine.scores_for_query("q0", targets)  # miss → push/propagate
         engine.scores_for_query("q0", targets)  # hit
         # A weight patch too dense for localization: fallback seam fires.
-        for edge in sorted(
-            ((e.head, e.tail) for e in aug.kg_edges()), key=repr
-        )[:2]:
-            aug.set_kg_weight(*edge, aug.kg_weight(*edge) * 0.7)
+        edges = sorted(((e.head, e.tail) for e in aug.kg_edges()), key=repr)[:2]
+
+        def reweight():
+            for edge in edges:
+                aug.set_kg_weight(*edge, aug.kg_weight(*edge) * 0.7)
+            return Patch(edges=edges)
+
+        engine.publish(reweight)
         engine.scores_for_query("q0", targets)
         assert engine.stats().delta_fallbacks == 1
 

@@ -82,7 +82,6 @@ class TestEngineStatsRegistryEquivalence:
             "engine_rebuilds_avoided_total": stats.rebuilds_avoided,
             "engine_weight_patches_total": stats.weight_patches,
             "engine_rows_appended_total": stats.rows_appended,
-            "engine_query_events_ignored_total": stats.query_events_ignored,
             "engine_cache_hits_total": stats.cache_hits,
             "engine_cache_misses_total": stats.cache_misses,
             "engine_serves_total": stats.serves,

@@ -1,8 +1,8 @@
 """Differential tests for the vectorized CSR builder and the offset lookup.
 
 The engine's matrix comes from :meth:`WeightedDiGraph.csr` and is kept
-current by answer-row appends; a patched edge's data offset is found by
-binary search over its row.  Both are checked against the simple
+current by published answer-row appends and weight patches; a patched
+edge's data offset is found by binary search over its row.  Both are checked against the simple
 per-edge constructions they replaced, kept here as references: the
 per-row list builder with its ``(head, tail) -> offset`` dict, and the
 COO construction ``adjacency_matrix()`` used to hand to scipy.
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.graph import AugmentedGraph, WeightedDiGraph
-from repro.serving import SimilarityEngine
+from repro.serving import Patch, SimilarityEngine
 
 
 def reference_engine_csr(aug):
@@ -74,8 +74,7 @@ def assert_same_csr(actual, expected):
 
 
 def assert_engine_matches_reference(engine, aug):
-    engine.publish(lambda: None)
-    epoch = engine._current
+    epoch = engine._serving_epoch()
     index, matrix, positions = reference_engine_csr(aug)
     assert list(epoch.index.items()) == list(index.items())
     assert_same_csr(epoch.matrix, matrix)
@@ -138,19 +137,33 @@ class TestEngineCsrDifferential:
             assert_engine_matches_reference(engine, aug)
             builds = engine.stats().builds
             # Answers attached after the build append rows in place.
-            for i, links in enumerate(scenario["late_answers"]):
-                aug.add_answer(f"late{i}", {f"e{e}": c for e, c in links.items()})
+
+            def attach():
+                late = []
+                for i, links in enumerate(scenario["late_answers"]):
+                    aug.add_answer(
+                        f"late{i}", {f"e{e}": c for e, c in links.items()}
+                    )
+                    late.append(f"late{i}")
+                return Patch(answers=late)
+
+            engine.publish(attach)
             for i, links in enumerate(scenario["late_queries"]):
                 aug.add_query(f"lq{i}", {f"e{e}": c for e, c in links.items()})
             assert_engine_matches_reference(engine, aug)
             assert engine.stats().builds == builds
             # Patched weights keep the layout; every offset still lines up.
             kg_edges = sorted(edge.key for edge in aug.kg_edges())
-            for head, tail in kg_edges[::2]:
-                aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) / 2)
+
+            def halve():
+                for head, tail in kg_edges[::2]:
+                    aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) / 2)
+                return Patch(edges=kg_edges[::2])
+
+            engine.publish(halve)
             assert_engine_matches_reference(engine, aug)
             assert engine.stats().builds == builds
-            # Removing an entity edge forces a full rebuild.
+            # Removing an entity edge moves the version: a full rebuild.
             if kg_edges:
                 head, tail = kg_edges[scenario["drop"] % len(kg_edges)]
                 aug.graph.remove_edge(head, tail)
@@ -174,8 +187,14 @@ class TestOffsetsLongRow:
         engine = SimilarityEngine(aug)
         try:
             assert_engine_matches_reference(engine, aug)
-            for i in range(0, 300, 3):
-                aug.set_kg_weight(f"e{i:03d}", "hub", 0.25)
+            edges = [(f"e{i:03d}", "hub") for i in range(0, 300, 3)]
+
+            def reweight():
+                for head, tail in edges:
+                    aug.set_kg_weight(head, tail, 0.25)
+                return Patch(edges=edges)
+
+            engine.publish(reweight)
             assert_engine_matches_reference(engine, aug)
             stats = engine.stats()
             assert stats.builds == 1

@@ -23,6 +23,7 @@ from repro.graph.generators import random_digraph
 from repro.serving import (
     DeltaCorrector,
     DeltaFallbackError,
+    Patch,
     SimilarityEngine,
     SimilarityParams,
 )
@@ -58,10 +59,28 @@ def kg_edges_sorted(aug):
     return sorted(((e.head, e.tail) for e in aug.kg_edges()), key=repr)
 
 
-def patch_edges(aug, edges, scale=0.7):
-    """Scale a few knowledge-graph weights (keeps out-sums sub-stochastic)."""
-    for head, tail in edges:
-        aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * scale)
+def patch_edges(engine, aug, edges, scale=0.7):
+    """Publish a few scaled knowledge-graph weights as one patch.
+
+    Scaling down keeps every out-sum sub-stochastic.
+    """
+
+    def apply():
+        for head, tail in edges:
+            aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * scale)
+        return Patch(edges=edges)
+
+    return engine.publish(apply)
+
+
+def attach_answer(engine, aug, answer, links):
+    """Publish one attached answer as one patch."""
+
+    def apply():
+        aug.add_answer(answer, links)
+        return Patch(answers=[answer])
+
+    return engine.publish(apply)
 
 
 def assert_matches_cold(served, aug, query, targets, params=PARAMS):
@@ -86,7 +105,7 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q0", targets)
         hits_before = engine.stats().cache_hits
 
-        patch_edges(aug, kg_edges_sorted(aug)[:4])
+        patch_edges(engine, aug, kg_edges_sorted(aug)[:4])
         served = engine.scores_for_query("q0", targets)
 
         stats = engine.stats()
@@ -104,7 +123,7 @@ class TestDeltaRevalidation:
         for query in queries:
             engine.scores_for_query(query, targets)
 
-        patch_edges(aug, kg_edges_sorted(aug)[:6], scale=0.5)
+        patch_edges(engine, aug, kg_edges_sorted(aug)[:6], scale=0.5)
         for query in queries:
             served = engine.scores_for_query(query, targets)
             assert_matches_cold(served, aug, query, targets)
@@ -122,7 +141,7 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q1", targets)
         for round_index in range(5):
             chunk = edges[round_index::5][:3]
-            patch_edges(aug, chunk, scale=0.7 + 0.05 * round_index)
+            patch_edges(engine, aug, chunk, scale=0.7 + 0.05 * round_index)
             served = engine.scores_for_query("q1", targets)
             assert_matches_cold(served, aug, "q1", targets)
         stats = engine.stats()
@@ -137,7 +156,7 @@ class TestDeltaRevalidation:
         engine.score_batch(queries, targets)
         misses_before = engine.stats().cache_misses
 
-        patch_edges(aug, kg_edges_sorted(aug)[:3])
+        patch_edges(engine, aug, kg_edges_sorted(aug)[:3])
         batch = engine.score_batch(queries, targets)
 
         assert engine.stats().cache_misses == misses_before
@@ -150,7 +169,7 @@ class TestDeltaRevalidation:
         targets = sorted(aug.answer_nodes, key=repr)
         before = engine.scores_for_query("q0", targets)
         edge = kg_edges_sorted(aug)[0]
-        aug.set_kg_weight(*edge, aug.kg_weight(*edge))  # same value
+        patch_edges(engine, aug, [edge], scale=1.0)  # same value
         after = engine.scores_for_query("q0", targets)
         stats = engine.stats()
         assert stats.cache_hits == 1
@@ -163,7 +182,7 @@ class TestDeltaRevalidation:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         before = engine.scores_for_query("q0", targets)
-        aug.add_answer("a_late", {entities[0]: 1.0, entities[3]: 2.0})
+        attach_answer(engine, aug, "a_late", {entities[0]: 1.0, entities[3]: 2.0})
         # Same explicit targets: appending an answer row cannot change
         # any of these scores (answers have no out-edges).
         after = engine.scores_for_query("q0", targets)
@@ -177,9 +196,16 @@ class TestDeltaRevalidation:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        # Both mutations buffered, applied in a single flush.
-        patch_edges(aug, kg_edges_sorted(aug)[:3])
-        aug.add_answer("a_late", {entities[1]: 1.0})
+        edges = kg_edges_sorted(aug)[:3]
+
+        def apply():
+            # Both mutations in one patch, published as one epoch.
+            for head, tail in edges:
+                aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * 0.7)
+            aug.add_answer("a_late", {entities[1]: 1.0})
+            return Patch(edges=edges, answers=["a_late"])
+
+        engine.publish(apply)
         served = engine.scores_for_query("q0", targets)
         stats = engine.stats()
         assert stats.cache_hits == 1
@@ -192,7 +218,7 @@ class TestDeltaRevalidation:
         engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        patch_edges(aug, kg_edges_sorted(aug)[:2])
+        patch_edges(engine, aug, kg_edges_sorted(aug)[:2])
         served = engine.scores_for_query("q0", targets)
         stats = engine.stats()
         assert stats.cache_hits == 0
@@ -215,7 +241,7 @@ class TestDeltaRevalidation:
         )
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        patch_edges(aug, kg_edges_sorted(aug)[:2])
+        patch_edges(engine, aug, kg_edges_sorted(aug)[:2])
         served = engine.scores_for_query("q0", targets)
         stats = engine.stats()
         assert stats.delta_fallbacks == 1
@@ -236,7 +262,7 @@ class TestDeltaRevalidation:
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
         # What the optimizer flush paths do: the solve runs inside publish.
-        engine.publish(lambda: patch_edges(aug, kg_edges_sorted(aug)[:5]))
+        patch_edges(engine, aug, kg_edges_sorted(aug)[:5])
         assert engine.stats().delta_revalidations == 1
         served = engine.scores_for_query("q0", targets)
         assert engine.stats().cache_hits == 1
@@ -247,7 +273,7 @@ class TestStalePreRebuildVector:
     """A vector cached before a rebuild is never served after it.
 
     Serve ``q0``, remove a KG edge out of its first entity, serve ``q1``
-    (which rebuilds), change the matrix incrementally, serve ``q0``
+    (which rebuilds), publish an incremental matrix change, serve ``q0``
     again.  The rebuilt epoch starts with an empty LRU, so the second
     ``q0`` serve can only see a vector computed after the removal.
     """
@@ -267,7 +293,8 @@ class TestStalePreRebuildVector:
 
     def test_answer_append_after_rebuild(self):
         aug, entities, engine, targets, _ = self.rebuilt()
-        aug.add_answer("a_late", {entities[2]: 1.0})
+        attach_answer(engine, aug, "a_late", {entities[2]: 1.0})
+        assert engine.stats().rows_appended == 1
         served = engine.scores_for_query("q0", targets)
         cold = inverse_pdistance(
             aug.graph,
@@ -281,8 +308,11 @@ class TestStalePreRebuildVector:
     def test_weight_patch_after_rebuild(self):
         aug, _, engine, targets, removed = self.rebuilt()
         patch_edges(
-            aug, [next(e for e in kg_edges_sorted(aug) if e != removed)]
+            engine,
+            aug,
+            [next(e for e in kg_edges_sorted(aug) if e != removed)],
         )
+        assert engine.stats().weight_patches == 1
         # Contracts are armed: a delta-corrected stale vector would raise
         # ContractViolation here.
         served = engine.scores_for_query("q0", targets)
@@ -337,7 +367,7 @@ class TestCacheBugfixes:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        engine.publish(lambda: patch_edges(aug, kg_edges_sorted(aug)[:3]))
+        patch_edges(engine, aug, kg_edges_sorted(aug)[:3])
         key = engine._cache_key(
             engine._seed_links("q0"), tuple(targets), PARAMS
         )
@@ -433,11 +463,18 @@ class TestDeltaProperty:
         for query in queries:
             engine.scores_for_query(query, targets)
         for round_patches in rounds:
-            for edge_pick, scale in round_patches:
-                head, tail = edges[edge_pick % len(edges)]
-                aug.set_kg_weight(
-                    head, tail, aug.kg_weight(head, tail) * scale
-                )
+
+            def apply(round_patches=round_patches):
+                picked = []
+                for edge_pick, scale in round_patches:
+                    head, tail = edges[edge_pick % len(edges)]
+                    aug.set_kg_weight(
+                        head, tail, aug.kg_weight(head, tail) * scale
+                    )
+                    picked.append((head, tail))
+                return Patch(edges=picked)
+
+            engine.publish(apply)
             for query in queries:
                 served = engine.scores_for_query(query, targets)
                 assert_matches_cold(served, aug, query, targets)
@@ -458,8 +495,7 @@ class TestDeltaProperty:
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
         edges = kg_edges_sorted(aug)
-        head, tail = edges[edge_pick % len(edges)]
-        aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * scale)
+        patch_edges(engine, aug, [edges[edge_pick % len(edges)]], scale=scale)
         served = engine.scores_for_query("q0", targets)
         assert engine.stats().delta_fallbacks == 1
         cold = inverse_pdistance(

@@ -22,6 +22,7 @@ from repro.optimize.single_vote import SingleVoteReport, VoteOutcome
 from repro.optimize.split_merge import SplitMergeReport
 from repro.serving import (
     EngineStats,
+    Patch,
     SimilarityEngine,
     SimilarityParams,
     resolve_similarity_params,
@@ -139,8 +140,13 @@ class TestEngineBitwise:
         edges = sorted(
             ((e.head, e.tail) for e in aug.kg_edges()), key=repr
         )
-        for i, (head, tail) in enumerate(edges[:10]):
-            aug.set_kg_weight(head, tail, 0.05 + 0.01 * i)
+
+        def reweight():
+            for i, (head, tail) in enumerate(edges[:10]):
+                aug.set_kg_weight(head, tail, 0.05 + 0.01 * i)
+            return Patch(edges=edges[:10])
+
+        engine.publish(reweight)
         assert_engine_matches_cold(engine, aug)
         assert engine.stats().weight_patches == 10
         assert engine.stats().builds == 1  # no rebuild for weight updates
@@ -151,7 +157,12 @@ class TestEngineBitwise:
         assert_engine_matches_cold(engine, aug)
         # Sorts before every existing answer, so the appended default
         # target list must be re-sorted, not extended.
-        aug.add_answer("_a_new", {entities[0]: 2.0, entities[4]: 1.0})
+
+        def attach():
+            aug.add_answer("_a_new", {entities[0]: 2.0, entities[4]: 1.0})
+            return Patch(answers=["_a_new"])
+
+        engine.publish(attach)
         assert_engine_matches_cold(engine, aug)
         assert engine.stats().rows_appended == 1
         assert engine.stats().builds == 1  # appended, not rebuilt
@@ -194,7 +205,8 @@ class TestEngineBitwise:
     def test_interleaved_mutations_stay_bitwise(self, ops):
         # Bitwise property of the cold-invalidation path; the delta
         # path's tolerance-equality property lives in
-        # test_serving_delta.py.
+        # test_serving_delta.py.  The mutations bypass publish, so every
+        # persistent one is caught by the version and rebuilt.
         aug, entities = build_aug(seed=11)
         engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
         kg_edges = sorted(
@@ -296,14 +308,93 @@ class TestEngineBehaviour:
         with pytest.raises(NodeNotFoundError):
             engine.scores({"nonexistent": 1.0})
 
-    def test_close_detaches_listener(self):
+    def test_serve_after_close_sees_later_writes(self):
+        # close() drops the epoch; the serve after it rebuilds, and
+        # writes made after that must still reach later serves.
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS)
         engine.scores_for_query("q0")
         engine.close()
-        edge = next(iter(aug.kg_edges()))
-        aug.set_kg_weight(edge.head, edge.tail, 0.3)  # must not blow up
-        assert engine._events == []
+        engine.scores_for_query("q0")
+        for edge in sorted(aug.kg_edges(), key=lambda e: repr(e.key))[:6]:
+            aug.set_kg_weight(edge.head, edge.tail, edge.weight * 0.3)
+        targets = sorted(aug.answer_nodes, key=repr)
+        served = engine.scores_for_query("q0", targets)
+        cold = inverse_pdistance(aug.graph, "q0", targets, params=PARAMS)
+        assert served == cold
+
+    def test_publish_before_first_build_only_applies(self):
+        aug, entities = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+
+        def attach():
+            aug.add_answer("a_new", {entities[0]: 1.0})
+            return Patch(answers=["a_new"])
+
+        assert engine.publish(attach) == 0
+        assert engine.stats().builds == 0
+        assert "a_new" in engine.scores_for_query("q0")
+        assert engine.stats().builds == 1
+
+    def test_unannounced_write_before_publish_rebuilds(self):
+        aug, _ = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+        engine.scores_for_query("q0")
+        first, second = sorted(e.key for e in aug.kg_edges())[:2]
+        aug.set_kg_weight(*first, 0.2)  # nobody tells the engine
+
+        def announced():
+            aug.set_kg_weight(*second, 0.3)
+            return Patch(edges=[second])
+
+        assert engine.publish(announced) == 2
+        stats = engine.stats()
+        assert (stats.builds, stats.weight_patches) == (2, 0)
+        assert_engine_matches_cold(engine, aug)
+
+    def test_empty_patch_publishes_nothing_unless_the_graph_moved(self):
+        aug, _ = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+        engine.scores_for_query("q0")
+        assert engine.publish(lambda: None) == 1
+        edge = next(iter(aug.kg_edges())).key
+        # A write the patch does not announce: the publish rebuilds.
+        assert engine.publish(lambda: aug.set_kg_weight(*edge, 0.2)) == 2
+        assert engine.stats().builds == 2
+        assert_engine_matches_cold(engine, aug)
+
+    def test_failed_apply_publishes_nothing(self):
+        aug, _ = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+        engine.scores_for_query("q0")
+        edge = next(iter(aug.kg_edges())).key
+
+        def apply():
+            aug.set_kg_weight(*edge, 0.2)
+            raise RuntimeError("solver died")
+
+        with pytest.raises(RuntimeError):
+            engine.publish(apply)
+        assert engine.epoch == 1
+        assert_engine_matches_cold(engine, aug)  # the serve rebuilt
+        assert engine.stats().builds == 2
+
+    def test_patch_naming_a_new_edge_rebuilds(self):
+        aug, entities = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+        engine.scores_for_query("q0")
+        head, tail = next(
+            (h, t) for h in entities for t in entities
+            if h != t and not aug.graph.has_edge(h, t)
+        )
+
+        def grow():
+            aug.graph.add_edge(head, tail, 0.01)
+            return Patch(edges=[(head, tail)])
+
+        engine.publish(grow)
+        assert engine.stats().builds == 2
+        assert_engine_matches_cold(engine, aug)
 
     def test_virtual_query_scores(self):
         aug, entities = build_aug()

@@ -31,7 +31,7 @@ from repro.errors import VoteError, WorkerError
 from repro.obs import MetricsRegistry
 from repro.optimize.online import OnlineOptimizer
 from repro.persistence import DurableStore
-from repro.serving import SimilarityEngine
+from repro.serving import Patch, SimilarityEngine
 from repro.serving.worker import IngestItem, OptimizerWorker, VoteQueue
 from repro.similarity.backend import DenseBackend
 from repro.similarity.inverse_pdistance import inverse_pdistance
@@ -389,14 +389,24 @@ def assert_near(served, expected):
         )
 
 
+def reweight(aug, edge, scale):
+    """Scale one knowledge-graph weight; returns its one-edge patch."""
+    aug.set_kg_weight(*edge, aug.kg_weight(*edge) * scale)
+    return Patch(edges=[edge])
+
+
 def serve_during_publish(engine, mutate, serve):
-    """``serve()``'s result, run while ``publish`` holds after ``mutate()``."""
+    """``serve()``'s result, run while ``publish`` holds after ``mutate()``.
+
+    ``mutate`` returns the patch the publish announces.
+    """
     mutated, release = threading.Event(), threading.Event()
 
     def apply():
-        mutate()
+        patch = mutate()
         mutated.set()
         assert release.wait(timeout=30.0)
+        return patch
 
     def run_serve():
         try:
@@ -436,11 +446,12 @@ class TestEpochPublication:
         edge = next(iter(aug.kg_edges())).key
         served = serve_during_publish(
             engine,
-            lambda: aug.set_kg_weight(*edge, aug.kg_weight(*edge) * 0.5),
+            lambda: reweight(aug, edge, 0.5),
             lambda: {q: engine.scores_for_query(q, targets) for q in queries},
         )
         # A cache hit and a miss, both on the pre-publish epoch.
         assert served == before
+        assert engine.stats().delta_revalidations == 1
         for query in queries:
             assert_near(
                 engine.scores_for_query(query, targets),
@@ -452,13 +463,17 @@ class TestEpochPublication:
         engine = SimilarityEngine(aug, registry=MetricsRegistry())
         before = engine.scores_for_query("q0")  # every answer as target
         entity = next(iter(aug.query_links("q0")))
+
+        def attach():
+            aug.add_answer("a_late", {entity: 1})
+            return Patch(answers=["a_late"])
+
         served = serve_during_publish(
-            engine,
-            lambda: aug.add_answer("a_late", {entity: 1}),
-            lambda: engine.scores_for_query("q0"),
+            engine, attach, lambda: engine.scores_for_query("q0")
         )
         assert served == before
         assert "a_late" in engine.scores_for_query("q0")
+        assert engine.stats().rows_appended == 1
 
     def test_publish_inside_serve_leaves_new_epoch_clean(self, monkeypatch):
         aug, _ = build_scenario()
@@ -474,13 +489,7 @@ class TestEpochPublication:
         def propagate_then_publish(backend, *args, **kwargs):
             if not epochs:
                 epochs.append(engine.epoch)
-                epochs.append(
-                    engine.publish(
-                        lambda: aug.set_kg_weight(
-                            *edge, aug.kg_weight(*edge) * 0.5
-                        )
-                    )
-                )
+                epochs.append(engine.publish(lambda: reweight(aug, edge, 0.5)))
             return propagate(backend, *args, **kwargs)
 
         monkeypatch.setattr(DenseBackend, "propagate", propagate_then_publish)
@@ -533,12 +542,8 @@ class TestServeThreadsRace:
 
         def publish_all():
             try:
-                for head, tail in edges:
-                    engine.publish(
-                        lambda: aug.set_kg_weight(
-                            head, tail, aug.kg_weight(head, tail) * 0.8
-                        )
-                    )
+                for edge in edges:
+                    engine.publish(lambda: reweight(aug, edge, 0.8))
                     states.append(cold_state())
             except BaseException as exc:
                 errors.append(exc)
@@ -564,6 +569,8 @@ class TestServeThreadsRace:
         assert errors == []
         assert len(states) == len(edges) + 1
         assert engine.epoch == first + len(edges)
+        assert engine.stats().weight_patches == len(edges)
+        assert engine.stats().builds == 1
         assert len(engine._current) <= 6
         for before, after, query, served in observations:
             assert any(
@@ -638,6 +645,23 @@ class TestConcurrentStress:
 
         engine.publish = tracking_publish
 
+        # Every batch's reported written set must cover what the batch
+        # actually changed: the edges where shadow and live differ just
+        # before its publish.
+        uncovered = []
+        orig_worker_publish = worker._publish
+
+        def covered_publish(outcome):
+            diff = {
+                edge.key
+                for edge in worker.shadow.kg_edges()
+                if aug.kg_weight(*edge.key) != edge.weight
+            }
+            uncovered.extend(diff - set(outcome.edge_keys))
+            orig_worker_publish(outcome)
+
+        worker._publish = covered_publish
+
         queries = sorted(aug.query_nodes, key=repr)
         targets = sorted(aug.answer_nodes, key=repr)
         observations = []  # (epoch_before, epoch_after, {query: scores})
@@ -689,6 +713,7 @@ class TestConcurrentStress:
             step += 1
 
         assert worker.last_error is None
+        assert uncovered == []
         assert asks >= 1000
         assert submitted == len(votes)
         # Epochs publish in non-decreasing order (a publication whose

@@ -28,7 +28,7 @@ from repro.errors import (
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import WeightedDiGraph
 from repro.graph.generators import random_digraph
-from repro.serving import SimilarityEngine, SimilarityParams
+from repro.serving import Patch, SimilarityEngine, SimilarityParams
 from repro.similarity.backend import (
     available_backends,
     get_backend,
@@ -340,6 +340,16 @@ def two_component_aug():
     return aug
 
 
+def reweight(engine, aug, head, tail, weight):
+    """Publish one knowledge-graph weight as a one-edge patch."""
+
+    def apply():
+        aug.graph.set_weight(head, tail, weight)
+        return Patch(edges=[(head, tail)])
+
+    return engine.publish(apply)
+
+
 class TestEnginePush:
     def test_served_scores_match_cold_dense(self):
         aug, _ = build_aug()
@@ -375,7 +385,7 @@ class TestEnginePush:
         engine = SimilarityEngine(aug, params=PUSH_PARAMS)
         before = engine.scores_for_query("q", ["ans"])
         # Lowering a weight keeps ρ valid; X is unreachable from q.
-        aug.graph.set_weight("X", "Y", 0.1)
+        reweight(engine, aug, "X", "Y", 0.1)
         after = engine.scores_for_query("q", ["ans"])
         assert after == before  # carried verbatim, not recomputed
         stats = engine.stats()
@@ -388,7 +398,7 @@ class TestEnginePush:
         aug = two_component_aug()
         engine = SimilarityEngine(aug, params=PUSH_PARAMS)
         engine.scores_for_query("q", ["ans"])
-        aug.graph.set_weight("B", "C", 0.2)
+        reweight(engine, aug, "B", "C", 0.2)
         served = engine.scores_for_query("q", ["ans"])
         cold = inverse_pdistance(
             aug.graph, "q", ["ans"], params=PUSH_PARAMS
@@ -406,7 +416,13 @@ class TestEnginePush:
         engine = SimilarityEngine(aug, params=PUSH_PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        aug.add_answer("a_new", {entities[0]: 1.0})
+
+        def attach():
+            aug.add_answer("a_new", {entities[0]: 1.0})
+            return Patch(answers=["a_new"])
+
+        engine.publish(attach)
+        assert engine.stats().rows_appended == 1
         served = engine.scores_for_query(
             "q0", targets + ["a_new"]
         )
@@ -485,7 +501,7 @@ class TestEnginePush:
             ):
                 if edge_pick is not None and kg_edges:
                     tail, head = kg_edges[edge_pick % len(kg_edges)]
-                    aug.graph.set_weight(tail, head, weight)
+                    reweight(engine, aug, tail, head, weight)
                 for query in queries:
                     served = engine.scores_for_query(query, targets)
                     cold = inverse_pdistance(
