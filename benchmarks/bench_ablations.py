@@ -2,7 +2,6 @@
 
 Not a paper table — these quantify the knobs the paper fixes by fiat:
 
-- SGP solver: SLSQP vs penalty vs monomial condensation (single-vote);
 - sigmoid steepness w (paper: 300);
 - λ1/λ2 preference trade-off (paper: 0.5/0.5);
 - feasibility filter on/off with erroneous votes injected;
@@ -22,9 +21,6 @@ from repro.optimize import (
     solve_multi_vote,
     solve_split_merge,
 )
-from repro.optimize.encoder import encode_votes
-from repro.optimize.objectives import distance_signomial
-from repro.sgp import solve_by_condensation, solve_sgp
 from repro.utils.tables import format_table
 
 
@@ -32,51 +28,6 @@ def _workload(**kwargs):
     return EffectivenessWorkload(
         num_vote_queries=14, num_test_queries=6, **kwargs
     )
-
-
-def bench_ablation_solvers(benchmark):
-    """One negative vote's SGP solved by all three solver backends."""
-    workload = _workload(seed=3)
-    vote = workload.votes.negative[0]
-    results = {}
-
-    def run_all():
-        for method in ("slsqp", "trust-constr", "penalty"):
-            encoded = encode_votes(
-                workload.deployed, [vote], use_deviations=False
-            )
-            encoded.problem.set_objective(
-                distance_signomial(encoded.problem.x0[: encoded.num_edge_vars])
-            )
-            solution = solve_sgp(encoded.problem, method=method)
-            results[method] = solution
-        encoded = encode_votes(workload.deployed, [vote], use_deviations=False)
-        encoded.problem.set_objective(
-            distance_signomial(encoded.problem.x0[: encoded.num_edge_vars])
-        )
-        results["condensation"] = solve_by_condensation(encoded.problem)
-        return results
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    rows = [
-        [
-            method,
-            f"{solution.elapsed:.3f}s",
-            f"{solution.num_satisfied}/{solution.num_constraints}",
-            f"{solution.objective_value:.4f}",
-        ]
-        for method, solution in results.items()
-    ]
-    report(
-        format_table(
-            ["Solver", "time", "constraints", "objective (weight drift)"],
-            rows,
-            title="Ablation: SGP solver backends on one single-vote program",
-        )
-    )
-    # Every backend should satisfy the (feasible) vote's constraints.
-    assert all(s.all_satisfied for s in results.values())
 
 
 def bench_ablation_sigmoid_w(benchmark):

@@ -23,6 +23,7 @@ import numpy as np
 from repro.eval.metrics import percentage_difference
 from repro.graph import AugmentedGraph, random_digraph
 from repro.optimize import solve_multi_vote
+from repro.serving import SimilarityParams
 from repro.similarity import similarity_profile
 from repro.utils.tables import format_table
 from repro.votes import generate_synthetic_votes
@@ -122,7 +123,10 @@ def bench_fig7b_elapsed_vs_length(benchmark):
         for length in L_SWEEP:
             start = time.perf_counter()
             solve_multi_vote(
-                aug, votes, max_length=length, feasibility_filter=False
+                aug,
+                votes,
+                params=SimilarityParams(max_length=length),
+                feasibility_filter=False,
             )
             timings[length] = time.perf_counter() - start
         return timings

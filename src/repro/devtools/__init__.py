@@ -6,9 +6,9 @@ enforced ones:
 - :mod:`repro.devtools.lint` — project-specific static rules
   (R001–R005) run by ``repro-kg lint`` and the CI lint gate;
 - :mod:`repro.devtools.contracts` — cheap assertable invariant checks
-  (row-stochasticity, box bounds, posynomial validity, deviation
-  sanity) installed at the seams and switched on with
-  ``REPRO_CONTRACTS=1`` / :func:`enable_contracts`.
+  (row-stochasticity, box bounds, deviation sanity) installed at the
+  seams and switched on with ``REPRO_CONTRACTS=1`` /
+  :func:`enable_contracts`.
 
 See DESIGN.md § Static analysis & invariants.
 """
@@ -17,7 +17,6 @@ from repro.devtools.contracts import (
     ContractViolation,
     check_finite_csr_data,
     check_monotone_deviations,
-    check_posynomial,
     check_row_stochastic,
     check_weight_bounds,
     contracts_enabled,
@@ -40,7 +39,6 @@ __all__ = [
     "disable_contracts",
     "check_row_stochastic",
     "check_weight_bounds",
-    "check_posynomial",
     "check_monotone_deviations",
     "check_finite_csr_data",
     "RULES",

@@ -8,8 +8,6 @@ that no unit test watches continuously:
   reference mass;
 - **box bounds** (Eq. 2): SGP iterates and solutions satisfy
   ``0 < x_l ≤ x ≤ x_u``;
-- **posynomial validity** (Eq. 2–3): the condensation solver only ever
-  condenses genuine posynomials (all coefficients positive and finite);
 - **deviation sanity** (Eq. 15): deviation variables are finite and
   bounded, so the sigmoid objective stays in its informative regime;
 - **patch completeness**: every publish leaves no write unannounced.
@@ -44,7 +42,6 @@ if TYPE_CHECKING:  # import cycle: graph modules install these contracts
     from scipy import sparse
 
     from repro.graph.digraph import Node, WeightedDiGraph
-    from repro.sgp.terms import Signomial
 
 __all__ = [
     "ContractViolation",
@@ -53,7 +50,6 @@ __all__ = [
     "disable_contracts",
     "check_row_stochastic",
     "check_weight_bounds",
-    "check_posynomial",
     "check_monotone_deviations",
     "check_finite_csr_data",
     "check_same_csr",
@@ -238,35 +234,6 @@ def check_weight_bounds(
         raise _violation(
             seam, f"x[{bad}] = {arr[bad]!r} lies above its upper bound {hi[bad]!r}"
         )
-
-
-def check_posynomial(
-    terms: "Signomial | Iterable[tuple[float, Mapping[int, float]]]",
-    *,
-    seam: str = "sgp.condensation",
-) -> None:
-    """Verify posynomial validity (Eq. 2–3): all coefficients finite, > 0.
-
-    Accepts a :class:`~repro.sgp.terms.Signomial` or a bare iterable of
-    ``(coefficient, {var: exponent})`` pairs.  Exponents may be any real
-    number (that is what makes it a posynomial rather than a polynomial)
-    but must be finite.
-    """
-    if not _enabled:
-        return
-    term_iter = terms.terms() if hasattr(terms, "terms") else terms
-    for coeff, exponents in term_iter:
-        if not math.isfinite(coeff) or coeff <= 0.0:
-            raise _violation(
-                seam,
-                f"coefficient {coeff!r} breaks posynomial validity "
-                f"(must be finite and > 0)",
-            )
-        for var, exp in exponents.items():
-            if not math.isfinite(exp):
-                raise _violation(
-                    seam, f"exponent of x_{var} is not finite: {exp!r}"
-                )
 
 
 def check_monotone_deviations(

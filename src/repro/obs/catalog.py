@@ -90,12 +90,11 @@ COUNTERS: frozenset[str] = frozenset(
         # QA front end (repro/qa/system.py)
         "qa_asks_total",
         "qa_votes_total",
-        # SGP solvers (repro/sgp/solver.py, condensation.py)
+        # SGP solver (repro/sgp/solver.py)
         "sgp_solves_total",
         "sgp_iterations_total",
         "sgp_fallbacks_total",
         "sgp_partial_solutions_total",
-        "sgp_condensation_rounds_total",
         # optimization drivers (repro/optimize/report.py)
         "optimize_runs_total",
         "optimize_changed_edges_total",
@@ -188,9 +187,8 @@ SPANS: frozenset[str] = frozenset(
         "engine.propagate",
         "engine.push",
         "engine.delta",
-        # SGP solvers
+        # SGP solver
         "sgp.solve",
-        "sgp.condensation",
         # optimization drivers
         "optimize.single_vote",
         "optimize.multi_vote",

@@ -41,9 +41,11 @@ def distance_signomial(initial: Sequence[float], var_ids: "Sequence[int] | None"
         multi-vote encoder passes only the edge-variable block so the
         deviation variables stay out of the distance term.
 
-    The signomial form is what the condensation solver requires; for the
-    SQP solvers :func:`distance_objective` (a direct quadratic) is
-    equivalent and cheaper to evaluate.
+    The single-vote driver sets this form as its objective, which
+    compiles to the one-row case of
+    :class:`~repro.sgp.terms.CompiledSignomial`;
+    :func:`distance_objective` (a direct quadratic) is equivalent and
+    cheaper to evaluate, and the multi-vote objective uses it.
     """
     ids = list(var_ids) if var_ids is not None else list(range(len(initial)))
     if len(ids) != len(initial):

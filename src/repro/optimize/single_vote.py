@@ -107,7 +107,6 @@ def solve_single_votes(
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
-    solver_method: str = "slsqp",
     max_iter: int = 200,
     normalize: bool = True,
     in_place: bool = False,
@@ -124,9 +123,9 @@ def solve_single_votes(
     params:
         Similarity parameters
         (:class:`~repro.serving.params.SimilarityParams`); the bare
-        ``max_length``/``restart_prob`` keywords remain as deprecated
-        shims.
-    solver_method, max_iter:
+        ``max_length``/``restart_prob`` keywords were removed and raise
+        ``TypeError``.
+    max_iter:
         Passed to :func:`repro.sgp.solver.solve_sgp`.
     normalize:
         Run ``NormalizeEdges`` after each vote (Algorithm 1 line 16).
@@ -183,9 +182,7 @@ def solve_single_votes(
                 initial = encoded.problem.x0[: encoded.num_edge_vars]
                 encoded.problem.set_objective(distance_signomial(initial))
                 try:
-                    solution = solve_sgp(
-                        encoded.problem, method=solver_method, max_iter=max_iter
-                    )
+                    solution = solve_sgp(encoded.problem, max_iter=max_iter)
                 except SGPSolverError as exc:
                     vote_span.set_attrs(skipped=str(exc))
                     report.outcomes.append(

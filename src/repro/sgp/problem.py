@@ -14,13 +14,15 @@ normal form here.)
 The objective is either a :class:`~repro.sgp.terms.Signomial` (the
 single-vote distance objective, Eq. 12) or a :class:`SmoothObjective`
 (the multi-vote objective, Eq. 19, whose sigmoid term is smooth but not
-signomial).  Everything is compiled before handing to the solver.
+signomial).  Everything is compiled before handing to the solver: the
+constraints into one stacked block (:meth:`SGPProblem.compile`), a
+signomial objective into the one-row case.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,13 +118,6 @@ class Constraint:
     signomial: Signomial
     name: str = "constraint"
     margin: float = 0.0
-    compiled: "CompiledSignomial | None" = field(default=None, repr=False)
-
-    def value(self, x: np.ndarray) -> float:
-        """``f(x) + margin`` (feasible iff ≤ 0)."""
-        if self.compiled is not None:
-            return self.compiled.value(x) + self.margin
-        return self.signomial.evaluate(np.asarray(x)) + self.margin
 
 
 class SGPProblem:
@@ -166,7 +161,8 @@ class SGPProblem:
         )
         self.constraints: list[Constraint] = []
         self._objective: "SmoothObjective | None" = None
-        self._objective_signomial: "Signomial | None" = None
+        self._compiled: "CompiledSignomial | None" = None
+        self._margins = np.zeros(0)
 
     @property
     def num_vars(self) -> int:
@@ -201,12 +197,10 @@ class SGPProblem:
     def set_objective(self, objective: "Signomial | SmoothObjective") -> None:
         """Set the objective (a signomial or any smooth objective)."""
         if isinstance(objective, Signomial):
-            self._objective_signomial = objective
             self._objective = SmoothObjective.from_signomial(
                 objective, self.num_vars
             )
         elif isinstance(objective, SmoothObjective):
-            self._objective_signomial = None
             self._objective = objective
         else:
             raise SGPModelError(
@@ -221,28 +215,32 @@ class SGPProblem:
             raise SGPModelError("no objective has been set")
         return self._objective
 
-    @property
-    def objective_signomial(self) -> "Signomial | None":
-        """The signomial form of the objective, when it has one.
+    def compile(self) -> CompiledSignomial:
+        """The constraints stacked into one compiled block, row ``i`` for
+        constraint ``i``.
 
-        The condensation solver requires this form; the sigmoid-penalty
-        objective of the multi-vote solution does not have one.
+        Built on first use and rebuilt only when constraints were added
+        since; the block travels with the problem when it is pickled.
         """
-        return self._objective_signomial
+        if self._compiled is None or self._compiled.num_rows != len(self.constraints):
+            self._compiled = CompiledSignomial(
+                [c.signomial for c in self.constraints], self.num_vars
+            )
+            self._margins = np.array([c.margin for c in self.constraints], dtype=float)
+        return self._compiled
 
-    def compile(self) -> None:
-        """Compile every constraint for fast evaluation (idempotent)."""
-        for constraint in self.constraints:
-            if constraint.compiled is None:
-                constraint.compiled = constraint.signomial.compile(self.num_vars)
+    @property
+    def margins(self) -> np.ndarray:
+        """Per-constraint margins, in constraint order."""
+        self.compile()
+        return self._margins
 
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
         """Vector of ``f_i(x) + margin_i`` (feasible entries are ≤ 0)."""
-        self.compile()
-        return np.array([c.value(np.asarray(x, dtype=float)) for c in self.constraints])
+        return self.compile().values(x) + self._margins
 
     def num_satisfied(self, x: np.ndarray, *, tol: float = 1e-9) -> int:
         """How many constraints hold at ``x`` (within ``tol``)."""

@@ -9,10 +9,10 @@ serving.  :class:`SolverProcess` runs the numerical part of
 the parent's wait for the answer is a blocking pipe read, which
 releases the GIL.
 
-- **What moves.**  Only :func:`repro.sgp.solver.run_solve` (the method
-  dispatch and the penalty fallback).  The parent compiles the problem,
-  opens the ``sgp.solve`` span and records the solver metrics, so the
-  caller's instrumentation is the same wherever the solve ran.
+- **What moves.**  Only :func:`repro.sgp.solver.run_solve` (SLSQP and
+  its penalty fallback).  The parent compiles the problem, opens the
+  ``sgp.solve`` span and records the solver metrics, so the caller's
+  instrumentation is the same wherever the solve ran.
 - **Routing.**  :func:`installed` routes the ``solve_sgp`` calls made on
   the current thread to one process for the duration of a ``with``
   block.  Every other thread, and every process forked from it (a

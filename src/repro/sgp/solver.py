@@ -1,17 +1,18 @@
-"""SGP solvers built on :mod:`scipy.optimize`.
+"""The SGP solver: SLSQP with a quadratic-penalty fallback.
 
 The paper solves its programs with MATLAB's ``fmincon`` (Section VII-A3);
-the closest Python analogue is :func:`scipy.optimize.minimize` with the
-SLSQP or trust-constr methods, both of which handle smooth nonlinear
-objectives, nonlinear inequality constraints, and box bounds.  A
-quadratic-penalty fallback handles the cases where an SQP step fails
-(singular working sets are common when many walk terms share edges):
-it folds constraint violations into the objective with an increasing
-penalty weight and needs only L-BFGS-B.
+the Python analogue is :func:`scipy.optimize.minimize` with SLSQP, which
+handles smooth nonlinear objectives, nonlinear inequality constraints,
+and box bounds.  A quadratic-penalty fallback handles the cases where an
+SQP step fails (singular working sets are common when many walk terms
+share edges): it folds constraint violations into the objective with an
+increasing penalty weight and needs only L-BFGS-B.
 
-All methods evaluate constraints and gradients through the compiled
-signomial forms, so a program with hundreds of constraints and thousands
-of walk terms per constraint stays tractable.
+Both evaluate the constraints through the problem's stacked compiled
+block (:meth:`~repro.sgp.problem.SGPProblem.compile`): one vector-valued
+constraint whose values and Jacobian take a handful of numpy calls
+whatever the number of constraints, so a program with hundreds of
+constraints and thousands of walk terms per constraint stays tractable.
 
 :func:`solve_sgp` keeps compilation and telemetry in the caller's
 process; its numerical part, :func:`run_solve`, runs in a solver child
@@ -28,7 +29,6 @@ import numpy as np
 from scipy import optimize
 
 from repro.devtools.contracts import check_weight_bounds
-from repro.errors import SGPSolverError
 from repro.obs import get_registry, trace_span
 from repro.sgp import process
 from repro.sgp.problem import SGPProblem
@@ -52,8 +52,8 @@ class SGPSolution:
     success:
         Whether the underlying solver reported success.
     method:
-        Which method produced the point (``slsqp``, ``trust-constr``,
-        ``penalty``, or ``slsqp+penalty`` when the fallback fired).
+        Which path produced the point: ``slsqp``, or ``slsqp+penalty``
+        when the penalty fallback replaced a failed SLSQP solve.
     message:
         Solver diagnostic text.
     elapsed:
@@ -82,23 +82,6 @@ class SGPSolution:
         solution (≤ 0 means fully feasible; 0.0 for unconstrained
         programs)."""
         return float(self.extras.get("max_residual", 0.0))
-
-
-def _scipy_constraints(problem: SGPProblem) -> list[dict]:
-    """SLSQP-style constraint dicts: ``fun(x) ≥ 0`` per constraint."""
-    constraints = []
-    for record in problem.constraints:
-        compiled = record.compiled
-        margin = record.margin
-
-        def fun(x, _c=compiled, _m=margin):
-            return -(_c.value(x) + _m)
-
-        def jac(x, _c=compiled):
-            return -_c.grad(x)
-
-        constraints.append({"type": "ineq", "fun": fun, "jac": jac})
-    return constraints
 
 
 def _finalize(problem: SGPProblem, x: np.ndarray, *, success: bool, method: str,
@@ -133,17 +116,27 @@ def _finalize(problem: SGPProblem, x: np.ndarray, *, success: bool, method: str,
 def _solve_slsqp(problem: SGPProblem, *, max_iter: int, tol: float) -> SGPSolution:
     start = time.perf_counter()
     objective = problem.objective
+    block = problem.compile()
+    margins = problem.margins
 
-    def fun(x):
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         return objective.value_and_grad(x)
 
+    # One vector-valued constraint, ``-(f(x) + margin) ≥ 0`` row-wise.
+    constraints: tuple[dict[str, Any], ...] = ()
+    if block.num_rows:
+        constraints = ({
+            "type": "ineq",
+            "fun": lambda x: -(block.values(x) + margins),
+            "jac": lambda x: -block.jacobian(x),
+        },)
     result = optimize.minimize(
         fun,
         problem.x0,
         jac=True,
         method="SLSQP",
         bounds=optimize.Bounds(problem.lower, problem.upper),
-        constraints=_scipy_constraints(problem),
+        constraints=constraints,
         options={"maxiter": max_iter, "ftol": tol},
     )
     return _finalize(
@@ -151,45 +144,6 @@ def _solve_slsqp(problem: SGPProblem, *, max_iter: int, tol: float) -> SGPSoluti
         result.x,
         success=bool(result.success),
         method="slsqp",
-        message=str(result.message),
-        elapsed=time.perf_counter() - start,
-        nit=int(result.get("nit", 0)),
-    )
-
-
-def _solve_trust_constr(problem: SGPProblem, *, max_iter: int, tol: float) -> SGPSolution:
-    start = time.perf_counter()
-    objective = problem.objective
-
-    nonlinear = []
-    if problem.constraints:
-        compiled = [c.compiled for c in problem.constraints]
-        margins = np.array([c.margin for c in problem.constraints])
-
-        def fun(x):
-            return np.array([c.value(x) for c in compiled]) + margins
-
-        def jac(x):
-            return np.vstack([c.grad(x) for c in compiled])
-
-        nonlinear.append(
-            optimize.NonlinearConstraint(fun, -np.inf, 0.0, jac=jac)
-        )
-
-    result = optimize.minimize(
-        lambda x: objective.value_and_grad(x),
-        problem.x0,
-        jac=True,
-        method="trust-constr",
-        bounds=optimize.Bounds(problem.lower, problem.upper),
-        constraints=nonlinear,
-        options={"maxiter": max_iter, "gtol": tol, "xtol": tol},
-    )
-    return _finalize(
-        problem,
-        result.x,
-        success=bool(result.success),
-        method="trust-constr",
         message=str(result.message),
         elapsed=time.perf_counter() - start,
         nit=int(result.get("nit", 0)),
@@ -215,22 +169,26 @@ def _solve_penalty(
     """
     start = time.perf_counter()
     objective = problem.objective
-    compiled = [c.compiled for c in problem.constraints]
-    margins = [c.margin + margin_slack for c in problem.constraints]
+    block = problem.compile()
+    margins = problem.margins + margin_slack
 
     x = problem.x0.copy()
     rho = initial_penalty
     total_nit = 0
     message = "penalty method"
     for _ in range(rounds):
-        def fun(x, _rho=rho):
+        def fun(x: np.ndarray, _rho: float = rho) -> tuple[float, np.ndarray]:
             value, grad = objective.value_and_grad(x)
-            for c, margin in zip(compiled, margins):
-                c_value, c_grad = c.value_and_grad(x)
-                violation = c_value + margin
-                if violation > 0.0:
+            terms = block.term_values(x)
+            violations = block.values(x, terms) + margins
+            violated = np.flatnonzero(violations > 0.0)
+            if violated.size:
+                rows = block.jacobian(x, terms, rows=violated)
+                # Constraint order, one row at a time: a vectorized sum
+                # would round differently.
+                for violation, row in zip(violations[violated].tolist(), rows):
                     value += _rho * violation * violation
-                    grad = grad + (2.0 * _rho * violation) * c_grad
+                    grad = grad + (2.0 * _rho * violation) * row
             return value, grad
 
         result = optimize.minimize(
@@ -261,27 +219,23 @@ def _solve_penalty(
 def solve_sgp(
     problem: SGPProblem,
     *,
-    method: str = "slsqp",
     max_iter: int = 200,
     tol: float = 1e-9,
-    fallback: bool = True,
 ) -> SGPSolution:
-    """Solve an :class:`SGPProblem`.
+    """Solve an :class:`SGPProblem` with SLSQP and the penalty fallback.
 
     Parameters
     ----------
     problem:
         The program; its objective must be set.
-    method:
-        ``"slsqp"`` (default, fastest), ``"trust-constr"`` (more robust
-        on ill-conditioned programs), or ``"penalty"``.
     max_iter, tol:
         Iteration cap and tolerance for the underlying scipy solver.
-    fallback:
-        When true and an SQP-family solve fails *and* leaves constraints
-        unsatisfied, re-solve with the penalty method starting from the
-        failed point's better of {x0, x}.  The solution's ``method``
-        field records ``"<method>+penalty"`` in that case.
+
+    When SLSQP fails *and* leaves constraints unsatisfied, the penalty
+    method re-solves from the start point and its result replaces
+    SLSQP's when it satisfies at least as many constraints (ties go to
+    the smaller objective); the solution's ``method`` then reads
+    ``"slsqp+penalty"``.
 
     The numerical part (:func:`run_solve`) runs in the solver process
     installed on the calling thread, if there is one (an optimizer
@@ -291,24 +245,19 @@ def solve_sgp(
 
     Raises
     ------
+    SGPModelError
+        For problems without an objective.
     SGPSolverError
-        For unknown methods or problems without an objective, or when
-        the solver process dies twice on one request.
+        When the solver process dies twice on one request.
     """
     problem.compile()
     problem.objective  # raises early when unset
     with trace_span(
         "sgp.solve",
-        method=method,
         num_vars=problem.num_vars,
         num_constraints=problem.num_constraints,
     ) as span:
-        options: dict[str, Any] = {
-            "method": method,
-            "max_iter": max_iter,
-            "tol": tol,
-            "fallback": fallback,
-        }
+        options: dict[str, Any] = {"max_iter": max_iter, "tol": tol}
         child = process.current()
         if child is None:
             solution = run_solve(problem, **options)
@@ -325,50 +274,27 @@ def solve_sgp(
     return solution
 
 
-def run_solve(
-    problem: SGPProblem,
-    *,
-    method: str,
-    max_iter: int,
-    tol: float,
-    fallback: bool,
-) -> SGPSolution:
-    """The method dispatch and penalty fallback of :func:`solve_sgp`.
+def run_solve(problem: SGPProblem, *, max_iter: int, tol: float) -> SGPSolution:
+    """SLSQP and the penalty fallback: the numerical part of :func:`solve_sgp`.
 
     ``problem`` arrives compiled.  Runs unchanged in the calling process
     or in a solver process.
     """
-    if method == "slsqp":
-        solution = _solve_slsqp(problem, max_iter=max_iter, tol=tol)
-    elif method == "trust-constr":
-        solution = _solve_trust_constr(problem, max_iter=max_iter, tol=tol)
-    elif method == "penalty":
-        solution = _solve_penalty(problem, max_iter=max_iter, tol=tol)
-    else:
-        raise SGPSolverError(
-            f"unknown method {method!r}; expected 'slsqp', 'trust-constr', "
-            f"or 'penalty'"
-        )
-
-    if (
-        fallback
-        and method != "penalty"
-        and not solution.success
-        and not solution.all_satisfied
-    ):
+    solution = _solve_slsqp(problem, max_iter=max_iter, tol=tol)
+    if not solution.success and not solution.all_satisfied:
         retry = _solve_penalty(problem, max_iter=max_iter, tol=tol)
         if (retry.num_satisfied, -retry.objective_value) >= (
             solution.num_satisfied,
             -solution.objective_value,
         ):
-            retry.method = f"{solution.method}+penalty"
+            retry.method = "slsqp+penalty"
             retry.elapsed += solution.elapsed
             solution = retry
     return solution
 
 
 def _record_solve_metrics(solution: SGPSolution) -> None:
-    """Registry telemetry for one finished solve (any method)."""
+    """Registry telemetry for one finished solve."""
     registry = get_registry()
     registry.counter("sgp_solves_total", method=solution.method).inc()
     registry.histogram("sgp_solve_seconds").observe(solution.elapsed)

@@ -12,10 +12,11 @@ Variables are identified by non-negative integer ids (the optimizer
 assigns one id per adjustable edge weight plus, in the multi-vote
 formulation, one per deviation variable).  A :class:`Signomial` is a
 mutable dict-of-terms used while *building* expressions; the solver
-*compiles* it into a :class:`CompiledSignomial`, which evaluates values
-and gradients through vectorized sparse matrix products — essential
-because each constraint can contain thousands of walk terms and the
-solver evaluates it hundreds of times.
+*compiles* a program's signomials into one :class:`CompiledSignomial`
+block, which evaluates all their values and gradients through a few
+vectorized sparse matrix products — essential because each constraint
+can contain thousands of walk terms and the solver evaluates them all
+hundreds of times.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ def _canonical_key(exponents: Mapping[int, float]) -> ExponentKey:
     for var, exp in exponents.items():
         if var < 0:
             raise SGPModelError(f"variable ids must be non-negative, got {var}")
+        if not math.isfinite(exp):
+            raise SGPModelError(f"non-finite exponent {exp!r} on x_{var}")
         if exp != 0.0:
             items.append((int(var), float(exp)))
     items.sort()
@@ -222,66 +225,117 @@ class Signomial:
 
     def compile(self, num_vars: int) -> "CompiledSignomial":
         """Compile into vectorized sparse form over ``num_vars`` variables."""
-        return CompiledSignomial(self, num_vars)
+        return CompiledSignomial([self], num_vars)
 
 
 class CompiledSignomial:
-    """Immutable, vectorized form of a :class:`Signomial`.
+    """Immutable, vectorized form of signomials stacked as rows.
 
-    Evaluation is done in log space: for positive ``x`` each term is
-    ``c_k · exp(E_k · log x)`` where ``E`` is the (sparse) exponent
-    matrix.  Values and gradients are then sparse matrix products:
+    Row ``i`` is one signomial.  The terms of every row share one sparse
+    exponent matrix ``E`` (terms × variables; each row's terms
+    contiguous, rows in order) and one coefficient vector, and row ``i``
+    owns terms ``offsets[i]:offsets[i + 1]``.  Evaluation is done in log
+    space: for positive ``x`` each term is ``c_k · exp(E_k · log x)``, so
+    one log, one matrix-vector product and one exp give every term, and
 
-    - ``value   = coeffs · exp(E @ log x)``
-    - ``grad_j  = Σ_k coeffs_k · exp(E_k · log x) · E_kj / x_j``
+    - ``value_i = Σ_{k in row i} c_k · exp(E_k · log x)``
+    - ``J_ij    = Σ_{k in row i} c_k · exp(E_k · log x) · E_kj / x_j``,
+      one sparse product ``W @ E`` divided by ``x``, where row ``i`` of
+      ``W`` holds row ``i``'s term values.
+
+    Each row sums its own contiguous slice of term values with
+    ``ndarray.sum`` and each Jacobian entry accumulates in term order,
+    so a row evaluates bit for bit as it would compiled alone.  A single
+    signomial compiles to the one-row case (:meth:`value`,
+    :meth:`value_and_grad`).
     """
 
-    __slots__ = ("num_vars", "coeffs", "exponents", "_exponents_t", "num_terms")
+    __slots__ = ("num_vars", "coeffs", "exponents", "offsets", "_spans")
 
-    def __init__(self, signomial: Signomial, num_vars: int) -> None:
+    def __init__(self, signomials: Iterable[Signomial], num_vars: int) -> None:
         if num_vars < 0:
             raise SGPModelError(f"num_vars must be non-negative, got {num_vars}")
-        used = signomial.variables()
-        if used and max(used) >= num_vars:
-            raise SGPModelError(
-                f"signomial uses variable {max(used)} but num_vars={num_vars}"
-            )
-        self.num_vars = num_vars
-        terms = list(signomial.terms())
-        self.num_terms = len(terms)
-        self.coeffs = np.array([c for c, _ in terms], dtype=float)
-        rows: list[int] = []
+        coeffs: list[float] = []
+        term_sizes: list[int] = []
         cols: list[int] = []
         data: list[float] = []
-        for t, (_, exponents) in enumerate(terms):
-            for var, exp in exponents.items():
-                rows.append(t)
-                cols.append(var)
-                data.append(exp)
+        offsets = [0]
+        for signomial in signomials:
+            for key, coeff in signomial._terms.items():
+                coeffs.append(coeff)
+                term_sizes.append(len(key))
+                for var, exp in key:
+                    cols.append(var)
+                    data.append(exp)
+            offsets.append(len(coeffs))
+        if cols and max(cols) >= num_vars:
+            raise SGPModelError(
+                f"signomial uses variable {max(cols)} but num_vars={num_vars}"
+            )
+        self.num_vars = num_vars
+        self.coeffs = np.array(coeffs, dtype=float)
+        term_starts = np.concatenate(([0], np.cumsum(term_sizes, dtype=np.int64)))
         self.exponents = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.num_terms, num_vars)
+            (np.array(data, dtype=float), np.array(cols, dtype=np.int64), term_starts),
+            shape=(len(coeffs), num_vars),
         )
-        self._exponents_t = self.exponents.T.tocsr()
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self._spans = list(zip(offsets[:-1], offsets[1:]))
 
-    def _term_values(self, x: np.ndarray) -> np.ndarray:
-        if self.num_terms == 0:
+    @property
+    def num_rows(self) -> int:
+        """Number of stacked signomials."""
+        return len(self._spans)
+
+    @property
+    def num_terms(self) -> int:
+        """Number of terms over all rows."""
+        return int(self.coeffs.size)
+
+    def term_values(self, x: np.ndarray) -> np.ndarray:
+        """Every term's value ``c_k · exp(E_k · log x)`` at positive ``x``."""
+        if not self.coeffs.size:
             return np.zeros(0)
-        log_x = np.log(x)
-        return self.coeffs * np.exp(self.exponents @ log_x)
+        return self.coeffs * np.exp(self.exponents @ np.log(x))
+
+    def values(
+        self, x: np.ndarray, term_values: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Each row's value at ``x`` (``term_values`` at ``x`` if known)."""
+        if term_values is None:
+            term_values = self.term_values(np.asarray(x, dtype=float))
+        return np.array(
+            [term_values[start:stop].sum() for start, stop in self._spans],
+            dtype=float,
+        )
+
+    def jacobian(
+        self,
+        x: np.ndarray,
+        term_values: "np.ndarray | None" = None,
+        rows: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """Dense Jacobian at ``x``: one row per signomial (or per ``rows``)."""
+        x = np.asarray(x, dtype=float)
+        if term_values is None:
+            term_values = self.term_values(x)
+        weights = sparse.csr_matrix(
+            (term_values, np.arange(self.num_terms), self.offsets),
+            shape=(self.num_rows, self.num_terms),
+        )
+        if rows is not None:
+            weights = weights[rows]
+        return np.asarray((weights @ self.exponents).toarray() / x)
 
     def value(self, x: np.ndarray) -> float:
-        """Evaluate at a dense positive vector ``x`` of length ``num_vars``."""
-        return float(self._term_values(np.asarray(x, dtype=float)).sum())
+        """The one-row case: the signomial's value at ``x``."""
+        return float(self.values(x)[0])
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and dense gradient in one pass (shares term values)."""
+        """The one-row case: value and dense gradient, sharing term values."""
         x = np.asarray(x, dtype=float)
-        if self.num_terms == 0:
-            return 0.0, np.zeros(self.num_vars)
-        term_values = self._term_values(x)
-        grad = (self._exponents_t @ term_values) / x
-        return float(term_values.sum()), np.asarray(grad)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Dense gradient at ``x``."""
-        return self.value_and_grad(x)[1]
+        term_values = self.term_values(x)
+        return (
+            float(self.values(x, term_values)[0]),
+            self.jacobian(x, term_values)[0],
+        )

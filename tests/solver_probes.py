@@ -7,6 +7,7 @@ child unpickles them by module path.  Not a test module.
 import numpy as np
 
 from repro.devtools.contracts import contracts_enabled
+from repro.errors import SGPSolverError
 
 
 class TwoArgError(Exception):
@@ -25,6 +26,13 @@ class RaisesTwoArgError:
 
     def __call__(self, x):
         raise TwoArgError("left", "right")
+
+
+class RaisesSolverError:
+    """An objective that raises :class:`SGPSolverError` when evaluated."""
+
+    def __call__(self, x):
+        raise SGPSolverError("the probe objective gave up")
 
 
 class ContractsProbe:

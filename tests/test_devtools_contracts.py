@@ -17,7 +17,6 @@ from repro.devtools.contracts import (
     ContractViolation,
     check_finite_csr_data,
     check_monotone_deviations,
-    check_posynomial,
     check_row_stochastic,
     check_weight_bounds,
     contracts_enabled,
@@ -28,7 +27,6 @@ from repro.errors import ReproError
 from repro.graph import AugmentedGraph, WeightedDiGraph
 from repro.graph.normalize import out_weight_sums
 from repro.optimize.apply import apply_edge_weights
-from repro.sgp.terms import Signomial
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +69,6 @@ class TestSwitch:
         # Flagrant violations pass silently when the switch is off.
         check_weight_bounds(np.array([5.0]), 0.1, 1.0)
         check_monotone_deviations(np.array([np.inf]))
-        check_posynomial([(-1.0, {0: 1.0})])
         check_finite_csr_data(np.array([np.nan]))
 
     def test_violation_is_repro_and_assertion_error(self):
@@ -155,29 +152,6 @@ class TestWeightBounds:
     def test_clipping_always_satisfies_box(self, values, lower, upper):
         x = np.clip(np.asarray(values), lower, upper)
         check_weight_bounds(x, lower, upper)
-
-
-# ----------------------------------------------------------------------
-# check_posynomial
-# ----------------------------------------------------------------------
-class TestPosynomial:
-    def test_valid_signomial_passes(self):
-        sig = Signomial()
-        sig.add_term(2.0, {0: 1.0, 1: -0.5})
-        sig.add_term(0.3, {})
-        check_posynomial(sig)
-
-    def test_negative_coefficient_fires(self):
-        with pytest.raises(ContractViolation, match="posynomial validity"):
-            check_posynomial([(-1.0, {0: 1.0})], seam="seeded")
-
-    def test_zero_coefficient_fires(self):
-        with pytest.raises(ContractViolation, match="posynomial validity"):
-            check_posynomial([(0.0, {})], seam="seeded")
-
-    def test_non_finite_exponent_fires(self):
-        with pytest.raises(ContractViolation, match="exponent"):
-            check_posynomial([(1.0, {0: float("inf")})], seam="seeded")
 
 
 # ----------------------------------------------------------------------

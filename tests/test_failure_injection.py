@@ -23,7 +23,12 @@ from repro.errors import (
     SGPSolverError,
 )
 from repro.graph import AugmentedGraph, WeightedDiGraph, random_digraph
-from repro.optimize import solve_multi_vote, solve_single_votes, solve_split_merge
+from repro.optimize import (
+    multi_vote,
+    solve_multi_vote,
+    solve_single_votes,
+    solve_split_merge,
+)
 from repro.optimize.encoder import encode_votes
 from repro.optimize.online import OnlineOptimizer
 from repro.persistence import DurableStore
@@ -181,7 +186,7 @@ class TestSolverBudgets:
         with pytest.raises(ConvergenceError):
             ppr_vector(graph, next(iter(graph.nodes())), max_iter=1, tol=1e-15)
 
-    def test_unknown_solver_method_propagates(self):
+    def test_solver_error_propagates(self, monkeypatch):
         kg = WeightedDiGraph.from_edges(
             [("x", "y", 0.6), ("x", "z", 0.3)], strict=False
         )
@@ -190,11 +195,13 @@ class TestSolverBudgets:
         aug.add_answer("a1", {"y": 1})
         aug.add_answer("a2", {"z": 1})
         vote = Vote("q", ("a1", "a2"), "a2")
-        with pytest.raises(SGPSolverError):
-            solve_multi_vote(
-                aug, [vote], solver_method="nonsense",
-                feasibility_filter=False,
-            )
+
+        def failing_solve(problem, **options):
+            raise SGPSolverError("solver gave up")
+
+        monkeypatch.setattr(multi_vote, "solve_sgp", failing_solve)
+        with pytest.raises(SGPSolverError, match="solver gave up"):
+            solve_multi_vote(aug, [vote], feasibility_filter=False)
 
 
 class TestNumericalEdges:

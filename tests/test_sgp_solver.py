@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import SGPModelError, SGPSolverError
-from repro.sgp import (
-    SGPProblem,
-    Signomial,
-    SmoothObjective,
-    solve_by_condensation,
-    solve_sgp,
-)
-from repro.sgp.condensation import condense_posynomial, split_signomial
+from repro.errors import SGPModelError
+from repro.sgp import SGPProblem, Signomial, SmoothObjective, solve_sgp
+from repro.sgp.solver import _solve_penalty
 
 
 def distance_objective(x0):
@@ -118,44 +112,45 @@ class TestSmoothObjective:
             SmoothObjective.weighted_sum([])
 
 
-@pytest.mark.parametrize("method", ["slsqp", "trust-constr", "penalty"])
+def solve_by_penalty(problem):
+    """The penalty fallback on its own, as ``solve_sgp`` runs it after a
+    failed SLSQP solve."""
+    return _solve_penalty(problem, max_iter=200, tol=1e-9)
+
+
+@pytest.mark.parametrize("solve", [solve_sgp, solve_by_penalty], ids=["slsqp", "penalty"])
 class TestSolvers:
-    def test_satisfies_constraint(self, method):
+    def test_satisfies_constraint(self, solve):
         problem = simple_problem()
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         assert solution.all_satisfied
         assert solution.x[0] - solution.x[1] >= 0.05 - 1e-6
 
-    def test_moves_minimally(self, method):
+    def test_moves_minimally(self, solve):
         problem = simple_problem()
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         # The optimum splits the 0.25 gap symmetrically.
         assert solution.x[0] == pytest.approx(0.325, abs=0.01)
         assert solution.x[1] == pytest.approx(0.275, abs=0.01)
         assert solution.objective_value == pytest.approx(2 * 0.125**2, abs=1e-3)
 
-    def test_respects_bounds(self, method):
+    def test_respects_bounds(self, solve):
         problem = SGPProblem([0.5], lower=0.3, upper=0.6)
         # Constraint pushes x down: x <= 0.1 is unreachable inside bounds.
         problem.add_constraint(Signomial.variable(0) - 0.1)
         problem.set_objective(distance_objective([0.5]))
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         assert 0.3 - 1e-9 <= solution.x[0] <= 0.6 + 1e-9
 
-    def test_no_constraints(self, method):
+    def test_no_constraints(self, solve):
         problem = SGPProblem([0.4, 0.6])
         problem.set_objective(distance_objective([0.4, 0.6]))
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         assert solution.x == pytest.approx(np.array([0.4, 0.6]), abs=1e-6)
         assert solution.objective_value == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSolverEdgeCases:
-    def test_unknown_method(self):
-        problem = simple_problem()
-        with pytest.raises(SGPSolverError):
-            solve_sgp(problem, method="gradient-descent")
-
     def test_solution_reports_method_and_time(self):
         solution = solve_sgp(simple_problem())
         assert solution.method in {"slsqp", "slsqp+penalty"}
@@ -173,50 +168,3 @@ class TestSolverEdgeCases:
         problem.set_objective(distance_objective([0.5, 0.5]))
         solution = solve_sgp(problem)
         assert solution.num_satisfied < 2
-
-
-class TestCondensation:
-    def test_split_signomial(self):
-        sig = Signomial.from_terms([(2.0, {0: 1}), (-3.0, {1: 2}), (1.0, {})])
-        p, q = split_signomial(sig)
-        assert p.is_posynomial() and q.is_posynomial()
-        x = {0: 0.5, 1: 0.5}
-        assert p.evaluate(x) - q.evaluate(x) == pytest.approx(sig.evaluate(x))
-
-    def test_condense_touches_at_point(self):
-        posy = Signomial.from_terms([(1.0, {0: 1}), (2.0, {0: 2})])
-        x = np.array([0.7])
-        condensed = condense_posynomial(posy, x)
-        assert condensed.num_terms == 1
-        assert condensed.evaluate(x) == pytest.approx(posy.evaluate(x))
-
-    def test_condense_is_lower_bound(self):
-        posy = Signomial.from_terms([(1.0, {0: 1}), (2.0, {0: 2})])
-        condensed = condense_posynomial(posy, np.array([0.7]))
-        for value in (0.1, 0.3, 0.9, 1.5):
-            point = np.array([value])
-            assert condensed.evaluate(point) <= posy.evaluate(point) + 1e-12
-
-    def test_condense_empty_rejected(self):
-        with pytest.raises(SGPSolverError):
-            condense_posynomial(Signomial(), np.array([1.0]))
-
-    def test_solves_simple_problem(self):
-        solution = solve_by_condensation(simple_problem())
-        assert solution.all_satisfied
-        assert solution.x[0] - solution.x[1] >= 0.05 - 1e-6
-        # Condensation is conservative but should land near the optimum.
-        assert solution.objective_value <= 0.1
-
-    def test_requires_signomial_objective(self):
-        problem = simple_problem()
-        problem.set_objective(
-            SmoothObjective(lambda x: (float(x.sum()), np.ones_like(x)))
-        )
-        with pytest.raises(SGPSolverError):
-            solve_by_condensation(problem)
-
-    def test_agrees_with_slsqp(self):
-        by_condensation = solve_by_condensation(simple_problem())
-        by_slsqp = solve_sgp(simple_problem(), method="slsqp")
-        assert by_condensation.x == pytest.approx(by_slsqp.x, abs=0.02)

@@ -1,12 +1,15 @@
 """Unit + property tests for the signomial algebra."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.errors import SGPModelError
-from repro.sgp import Signomial
+from repro.sgp import CompiledSignomial, SGPProblem, Signomial
 
 
 def make_signomial():
@@ -54,6 +57,13 @@ class TestConstruction:
         sig = Signomial()
         with pytest.raises(SGPModelError):
             sig.add_term(float("nan"), {0: 1})
+
+    def test_nonfinite_exponent_rejected(self):
+        sig = Signomial()
+        for exponent in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SGPModelError, match="exponent"):
+                sig.add_term(1.0, {0: exponent})
+        assert sig.num_terms == 0
 
 
 class TestInspection:
@@ -158,6 +168,8 @@ class TestCompiled:
     def test_too_few_vars_rejected(self):
         with pytest.raises(SGPModelError):
             Signomial.variable(5).compile(3)
+        with pytest.raises(SGPModelError):
+            CompiledSignomial([Signomial.constant(1.0), Signomial.variable(3)], 3)
 
     def test_unused_extra_vars_ok(self):
         compiled = Signomial.variable(0).compile(10)
@@ -209,3 +221,142 @@ class TestCompiled:
                 2 * eps
             )
             assert grad[var] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# the stacked block: many signomials, one compiled form
+# ----------------------------------------------------------------------
+def reference_row(signomial, num_vars, x):
+    """One signomial compiled and evaluated on its own, term by term in a
+    private exponent matrix: the per-constraint arithmetic a stacked
+    row must reproduce bit for bit."""
+    terms = list(signomial.terms())
+    if not terms:
+        return 0.0, np.zeros(num_vars)
+    rows, cols, data = [], [], []
+    for t, (_, exponents) in enumerate(terms):
+        for var, exp in exponents.items():
+            rows.append(t)
+            cols.append(var)
+            data.append(exp)
+    exponents = sparse.csr_matrix(
+        (data, (rows, cols)), shape=(len(terms), num_vars)
+    )
+    values = np.array([c for c, _ in terms]) * np.exp(exponents @ np.log(x))
+    return float(values.sum()), (exponents.T.tocsr() @ values) / x
+
+
+def magnitude(signomial, x):
+    """``Σ |c_k| · Π x^e`` — the scale float rounding is relative to."""
+    absolute = Signomial.from_terms((abs(c), e) for c, e in signomial.terms())
+    return absolute.evaluate(x)
+
+
+@st.composite
+def systems(draw):
+    """Rows of random signomials plus a positive point, with a
+    constant-only row and a row whose terms cancelled to nothing."""
+    num_vars = draw(st.integers(min_value=1, max_value=4))
+    coeff = st.floats(min_value=-5, max_value=5).filter(lambda c: abs(c) > 1e-3)
+    exponents = st.dictionaries(
+        st.integers(min_value=0, max_value=num_vars - 1),
+        st.floats(min_value=-2, max_value=3),
+        max_size=num_vars,
+    )
+    rows = [
+        Signomial.from_terms(
+            draw(st.lists(st.tuples(coeff, exponents), max_size=20))
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=5)))
+    ]
+    rows.insert(draw(st.integers(0, len(rows))), Signomial.constant(draw(coeff)))
+    cancelled = Signomial.variable(0) * 2.0
+    cancelled.add_term(-2.0, {0: 1.0})
+    rows.insert(draw(st.integers(0, len(rows))), cancelled)
+    x = np.array(
+        draw(st.lists(st.floats(min_value=0.1, max_value=3.0),
+                      min_size=num_vars, max_size=num_vars))
+    )
+    return rows, num_vars, x
+
+
+class TestStacked:
+    @given(system=systems())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_reference(self, system):
+        """Values and Jacobian rows equal the dict-based reference within
+        1e-12 of the terms' magnitude, and the per-signomial compiled
+        arithmetic bit for bit."""
+        rows, num_vars, x = system
+        block = CompiledSignomial(rows, num_vars)
+        values, jacobian = block.values(x), block.jacobian(x)
+        assert values.shape == (len(rows),)
+        assert jacobian.shape == (len(rows), num_vars)
+        for i, sig in enumerate(rows):
+            scale = magnitude(sig, x)
+            assert values[i] == pytest.approx(
+                sig.evaluate(x), rel=1e-12, abs=1e-12 * scale
+            )
+            exact = sig.gradient(x)
+            for var in range(num_vars):
+                assert jacobian[i, var] == pytest.approx(
+                    exact.get(var, 0.0), rel=1e-12, abs=1e-12 * scale / x[var]
+                )
+            value, grad = reference_row(sig, num_vars, x)
+            assert values[i] == value
+            assert jacobian[i].tobytes() == grad.tobytes()
+
+    @given(system=systems(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_selected_rows_and_shared_term_values(self, system, data):
+        """Passing precomputed term values or selecting rows changes no bit."""
+        rows, num_vars, x = system
+        block = CompiledSignomial(rows, num_vars)
+        picked = np.array(
+            sorted(data.draw(st.sets(st.integers(0, len(rows) - 1)))), dtype=int
+        )
+        terms = block.term_values(x)
+        assert block.values(x, terms).tobytes() == block.values(x).tobytes()
+        subset = block.jacobian(x, terms, rows=picked)
+        assert subset.tobytes() == block.jacobian(x)[picked].tobytes()
+
+    def test_no_rows(self):
+        block = CompiledSignomial([], 3)
+        assert block.num_rows == block.num_terms == 0
+        assert block.values(np.ones(3)).shape == (0,)
+        assert block.jacobian(np.ones(3)).shape == (0, 3)
+
+    def test_single_row_is_the_signomial(self):
+        sig = make_signomial()
+        x = np.array([1.3, 0.7])
+        block = CompiledSignomial([sig], 2)
+        compiled = sig.compile(2)
+        value, grad = compiled.value_and_grad(x)
+        assert block.values(x).tolist() == [value] == [compiled.value(x)]
+        assert block.jacobian(x)[0].tobytes() == grad.tobytes()
+
+    def test_constraint_added_after_compile(self):
+        problem = SGPProblem([0.2, 0.4])
+        problem.add_constraint(Signomial.variable(1) - Signomial.variable(0))
+        first = problem.compile()
+        assert problem.compile() is first
+        problem.add_constraint(Signomial.variable(0) - 0.1, margin=0.05)
+        x = np.array([0.3, 0.5])
+        assert problem.compile().num_rows == 2
+        assert problem.constraint_values(x) == pytest.approx([0.2, 0.25])
+        assert problem.margins.tolist() == [0.0, 0.05]
+
+    def test_pickle_round_trip(self):
+        problem = SGPProblem([0.2, 0.4, 0.6])
+        problem.add_constraint(make_signomial(), margin=0.01)
+        problem.add_constraint(Signomial.variable(2) * Signomial.variable(0) - 0.5)
+        problem.compile()
+        clone = pickle.loads(pickle.dumps(problem))
+        x = np.array([0.9, 1.1, 0.4])
+        assert clone.compile().num_rows == 2
+        assert clone.constraint_values(x).tobytes() == (
+            problem.constraint_values(x).tobytes()
+        )
+        assert clone.compile().jacobian(x).tobytes() == (
+            problem.compile().jacobian(x).tobytes()
+        )

@@ -49,10 +49,10 @@ from tests.durable_scenario import (
     kg_weights,
     single_threaded_replay,
 )
-from tests.solver_probes import ContractsProbe, RaisesTwoArgError
+from tests.solver_probes import ContractsProbe, RaisesSolverError, RaisesTwoArgError
 
 ROOT = Path(__file__).resolve().parents[1]
-OPTIONS = {"method": "slsqp", "max_iter": 300, "tol": 1e-9, "fallback": True}
+OPTIONS = {"max_iter": 300, "tol": 1e-9}
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="reads /proc (Linux)"
@@ -412,11 +412,10 @@ class TestCrossProcess:
         assert there.objective_value == here.objective_value
         assert there.num_satisfied == here.num_satisfied
 
-    def test_unknown_method_raises_the_childs_error(self, solver):
-        problem = single_vote_problem()
+    def test_solver_error_arrives_with_the_childs_traceback(self, solver):
         with installed(solver):
-            with pytest.raises(SGPSolverError, match="unknown method 'simplex'") as info:
-                solve_sgp(problem, method="simplex")
+            with pytest.raises(SGPSolverError, match="probe objective gave up") as info:
+                solve_sgp(probe_problem(RaisesSolverError()))
         assert "run_solve" in str(info.value.__cause__)
 
     def test_exception_that_cannot_be_unpickled_arrives_as_text(self, solver):
