@@ -43,7 +43,7 @@ from repro.serving.engine import (
     SimilarityEngine,
 )
 from repro.serving.params import SimilarityParams, resolve_similarity_params
-from repro.similarity.top_k import rank_answers
+from repro.similarity.top_k import rank_answers, scores_to_ranked_list
 from repro.utils.sync import mutator, serve_path
 from repro.votes.types import Vote, VoteSet
 
@@ -322,25 +322,23 @@ class QASystem:
                 all_scores = self._engine.score_batch(
                     attached, params=self._params
                 )
-                results: dict[str, list[tuple[str, float]]] = {}
-                for question_id in attached:
-                    ordered = sorted(
-                        all_scores[question_id].items(),
-                        key=lambda item: (-item[1], repr(item[0])),
-                    )[: self._params.k]
-                    results[question_id] = self._record_shown(
-                        question_id, ordered
-                    )
+                ranked = {
+                    question_id: scores_to_ranked_list(all_scores[question_id])[
+                        : self._params.k
+                    ]
+                    for question_id in attached
+                }
             else:
-                results = {
-                    question_id: self._record_shown(
-                        question_id,
-                        rank_answers(
-                            self._aug, question_id, params=self._params
-                        ),
+                ranked = {
+                    question_id: rank_answers(
+                        self._aug, question_id, params=self._params
                     )
                     for question_id in attached
                 }
+            results = {
+                question_id: self._record_shown(question_id, ranked[question_id])
+                for question_id in attached
+            }
         self._m_asks.inc(len(attached))
         elapsed = perf_counter() - started
         self._h_ask.observe(elapsed)

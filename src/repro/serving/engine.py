@@ -97,6 +97,7 @@ from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.utils.sync import mutator, serve_path
 from repro.similarity.backend import PropagationBackend, resolve_backend
 from repro.similarity.push import PropagationResult, amplification_bound
+from repro.similarity.ranking import rank_vector, repr_order
 
 #: Default bound on the per-query score-vector LRU cache.
 DEFAULT_CACHE_SIZE = 256
@@ -230,8 +231,9 @@ class _Epoch:
     """One generation of the engine's served state.
 
     ``matrix`` (``M[i, j] = w(v_j, v_i)`` over the persistent nodes),
-    ``index`` (node -> row), and ``answers`` (the answer nodes, sorted
-    by ``repr``: a serve's default targets) never change once the epoch
+    ``index`` (node -> row), ``answers`` (the answer nodes, distinct
+    and sorted by ``repr``: a serve's default targets, ranked as they
+    stand) and ``answer_rows`` (their rows) never change once the epoch
     is published — writers build the next epoch instead, and
     ``version`` is the persistent graph version the matrix reflects (or
     ``None``, which no version equals).  The score LRU belongs to this
@@ -260,6 +262,10 @@ class _Epoch:
         self.matrix = matrix
         self.index = index
         self.answers = answers
+        self.answer_rows = np.fromiter(
+            (index[answer] for answer in answers), dtype=np.int64, count=len(answers)
+        )
+        self.answer_rows.setflags(write=False)
         self.push = push
         self._lru_lock = lru_lock
         self._capacity = capacity
@@ -1069,6 +1075,8 @@ class SimilarityEngine:
         return epoch.answers if targets is None else list(targets)
 
     def _target_indices(self, epoch: _Epoch, targets: Sequence[Node]) -> np.ndarray:
+        if targets is epoch.answers:
+            return epoch.answer_rows
         try:
             return np.array([epoch.index[t] for t in targets], dtype=int)
         except KeyError as exc:
@@ -1243,6 +1251,64 @@ class SimilarityEngine:
             )
         return result
 
+    def _serve(
+        self,
+        links: Mapping[Node, float],
+        targets: "Iterable[Node] | None",
+        params: SimilarityParams,
+    ) -> tuple[Sequence[Node], np.ndarray]:
+        """One serve: its targets and their frozen score vector.
+
+        ``targets`` defaults to the serving epoch's answers.  Counts one
+        serve and one cache hit or miss.
+        """
+        backend = resolve_backend(params)
+        self._m_serves.inc()
+        epoch = self._serving_epoch()
+        target_list = self._resolve_targets(epoch, targets)
+        # Flight-recorder attribution: one event per serve with the
+        # backend, cache outcome, epoch, and (for push) the query's own
+        # cost/accuracy numbers.  Disarmed cost: one load + comparison.
+        rec = active_recorder()
+        started = time.perf_counter() if rec is not None else 0.0
+        key = self._cache_key(links, target_list, params)
+        vector = self._cache_get(epoch, key)
+        hit = vector is not None
+        result: "PropagationResult | None" = None
+        if vector is None:
+            missing = [e for e in links if e not in epoch.index]
+            if missing:
+                raise NodeNotFoundError(missing[0])
+            target_idx = self._target_indices(epoch, target_list)
+            if getattr(backend, "uses_out_matrix", False):
+                result = self._push_compute(epoch, links, target_idx, params, backend)
+                self._m_push_serves.inc()
+                vector = result.scores
+            elif getattr(backend, "supports_matrix", False):
+                vector = self._propagate_one(
+                    epoch, links, target_idx, params, backend
+                )
+            else:
+                raise EvaluationError(
+                    f"backend {params.backend!r} has no matrix-level kernel; "
+                    f"use the graph-level API (repro.similarity.backend."
+                    f"get_backend({params.backend!r}).scores(...)) instead"
+                )
+            self._cache_put(epoch, key, vector, result)
+        if rec is not None:
+            elapsed = time.perf_counter() - started
+            attrs = {
+                "engine": self.engine_label,
+                "backend": params.backend,
+                "cache": "hit" if hit else "miss",
+                "epoch": epoch.number,
+            }
+            if result is not None:
+                attrs["edges_touched"] = int(result.edges_touched)
+                attrs["error_bound"] = float(result.error_bound)
+            rec.record_timed("engine.serve", elapsed, **attrs)
+        return target_list, vector
+
     @serve_path
     def scores(
         self,
@@ -1256,71 +1322,12 @@ class SimilarityEngine:
         ``links`` is the query's normalized out-link mapping
         (``entity -> weight``); the query node itself does not need to
         exist in the graph.  Unknown entities raise
-        :class:`~repro.errors.NodeNotFoundError`.
+        :class:`~repro.errors.NodeNotFoundError`.  The dict keeps the
+        order of ``targets`` (default: every answer, in ``repr`` order).
         """
         params = params if params is not None else self.params
-        backend = resolve_backend(params)
-        self._m_serves.inc()
-        epoch = self._serving_epoch()
-        target_list = self._resolve_targets(epoch, targets)
-        # Flight-recorder attribution: one event per serve with the
-        # backend, cache outcome, epoch, and (for push) the query's own
-        # cost/accuracy numbers.  Disarmed cost: one load + comparison.
-        rec = active_recorder()
-        started = time.perf_counter() if rec is not None else 0.0
-        key = self._cache_key(links, target_list, params)
-        cached = self._cache_get(epoch, key)
-        if cached is not None:
-            if rec is not None:
-                rec.record_timed(
-                    "engine.serve",
-                    time.perf_counter() - started,
-                    engine=self.engine_label,
-                    backend=params.backend,
-                    cache="hit",
-                    epoch=epoch.number,
-                )
-            return {t: float(s) for t, s in zip(target_list, cached)}
-        missing = [e for e in links if e not in epoch.index]
-        if missing:
-            raise NodeNotFoundError(missing[0])
-        target_idx = self._target_indices(epoch, target_list)
-        result: "PropagationResult | None" = None
-        if getattr(backend, "uses_out_matrix", False):
-            result = self._push_compute(epoch, links, target_idx, params, backend)
-            self._m_push_serves.inc()
-            vector = result.scores
-        elif getattr(backend, "supports_matrix", False):
-            vector = self._propagate_one(epoch, links, target_idx, params, backend)
-        else:
-            raise EvaluationError(
-                f"backend {params.backend!r} has no matrix-level kernel; "
-                f"use the graph-level API (repro.similarity.backend."
-                f"get_backend({params.backend!r}).scores(...)) instead"
-            )
-        self._cache_put(epoch, key, vector, result)
-        if rec is not None:
-            if result is not None:
-                rec.record_timed(
-                    "engine.serve",
-                    time.perf_counter() - started,
-                    engine=self.engine_label,
-                    backend=params.backend,
-                    cache="miss",
-                    epoch=epoch.number,
-                    edges_touched=int(result.edges_touched),
-                    error_bound=float(result.error_bound),
-                )
-            else:
-                rec.record_timed(
-                    "engine.serve",
-                    time.perf_counter() - started,
-                    engine=self.engine_label,
-                    backend=params.backend,
-                    cache="miss",
-                    epoch=epoch.number,
-                )
-        return {t: float(s) for t, s in zip(target_list, vector)}
+        target_list, vector = self._serve(links, targets, params)
+        return dict(zip(target_list, vector.tolist()))
 
     @serve_path
     def scores_for_query(
@@ -1365,9 +1372,7 @@ class SimilarityEngine:
             keys[query] = key
             cached = self._cache_get(epoch, key)
             if cached is not None:
-                results[query] = {
-                    t: float(s) for t, s in zip(target_list, cached)
-                }
+                results[query] = dict(zip(target_list, cached.tolist()))
             else:
                 pending.append(query)
         if pending:
@@ -1389,10 +1394,9 @@ class SimilarityEngine:
                     self._cache_put(
                         epoch, keys[query], push_result.scores, push_result
                     )
-                    results[query] = {
-                        t: float(s)
-                        for t, s in zip(target_list, push_result.scores)
-                    }
+                    results[query] = dict(
+                        zip(target_list, push_result.scores.tolist())
+                    )
             elif getattr(backend, "supports_matrix", False) and hasattr(
                 backend, "propagate_batch"
             ):
@@ -1406,18 +1410,14 @@ class SimilarityEngine:
                 for column, query in enumerate(pending):
                     vector = block[:, column].copy()
                     self._cache_put(epoch, keys[query], vector)
-                    results[query] = {
-                        t: float(s) for t, s in zip(target_list, vector)
-                    }
+                    results[query] = dict(zip(target_list, vector.tolist()))
             elif getattr(backend, "supports_matrix", False):
                 for query in pending:
                     vector = self._propagate_one(
                         epoch, links_by_query[query], target_idx, params, backend
                     )
                     self._cache_put(epoch, keys[query], vector)
-                    results[query] = {
-                        t: float(s) for t, s in zip(target_list, vector)
-                    }
+                    results[query] = dict(zip(target_list, vector.tolist()))
             else:
                 raise EvaluationError(
                     f"backend {params.backend!r} has no matrix-level "
@@ -1448,16 +1448,20 @@ class SimilarityEngine:
     ) -> list[tuple[Node, float]]:
         """Ranked top-k ``(answer, score)`` for an attached query node.
 
-        Tie-breaking matches :func:`repro.similarity.top_k.rank_answers`:
-        descending score, then ``repr`` of the answer id.
+        The order is :func:`~repro.similarity.ranking.rank_vector`'s,
+        on the served score vector.  ``targets`` defaults to the
+        serving epoch's answers; explicit targets are served without
+        repeats, in ``repr`` order.
         """
         params = params if params is not None else self.params
-        scores = self.scores_for_query(query, targets, params=params)
+        links = self._seed_links(query)
+        if targets is not None:
+            targets = repr_order(targets)
+        target_list, vector = self._serve(links, targets, params)
         limit = k if k is not None else params.k
         if limit < 1:
             raise ValueError(f"k must be at least 1, got {limit}")
-        ordered = sorted(scores.items(), key=lambda item: (-item[1], repr(item[0])))
-        return ordered[:limit]
+        return rank_vector(target_list, vector.tolist(), limit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         epoch = self._current

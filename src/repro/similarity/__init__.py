@@ -13,8 +13,9 @@ Four evaluators, all measuring the paper's query–answer similarity
 - :mod:`repro.similarity.push` — a sparse local-push evaluator of the
   same truncated sum, touching only edges near the query, with a
   derived error budget;
-- :mod:`repro.similarity.top_k` — ranked top-k answer lists with
-  deterministic tie-breaking.
+- :mod:`repro.similarity.top_k` — ranked top-k answer lists, all
+  ranked by :func:`repro.similarity.ranking.rank_vector` with its
+  deterministic tie rule.
 
 Kernel selection goes through :mod:`repro.similarity.backend`: the
 :class:`~repro.similarity.backend.PropagationBackend` protocol plus a

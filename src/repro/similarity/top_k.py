@@ -1,10 +1,9 @@
 """Ranked top-k answer lists.
 
 Given a query node, the Q&A framework returns the top-k answers ordered
-by similarity (Definition 1).  Ties are broken deterministically by the
-answers' string representation so that experiments are reproducible
-run-to-run — ties are common on synthetic graphs where several answers
-can be exactly symmetric.
+by similarity (Definition 1).  Every list is ranked by
+:func:`repro.similarity.ranking.rank_vector`, which states the tie rule:
+descending score, exact ties in ``repr`` order of the answer id.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.similarity.backend import resolve_backend
+from repro.similarity.ranking import rank_vector, repr_order
 
 
 def rank_answers(
@@ -41,20 +41,24 @@ def rank_answers(
         The :class:`~repro.serving.params.SimilarityParams` bundle
         (``k``, ``max_length``, ``restart_prob``).
     answers:
-        Candidate answers; defaults to every answer node in the graph.
+        Candidate answers (repeats ignored); defaults to every answer
+        node in the graph.
     engine:
         Optional :class:`~repro.serving.engine.SimilarityEngine`.  When
-        given, scores come from the engine's cached/incremental matrix
-        instead of a cold per-call adjacency rebuild; results are
-        bitwise identical for the dense backend.
+        given, the engine's ``top_k`` ranks the query on its served
+        epoch, from its cached/incremental matrix instead of a cold
+        per-call adjacency rebuild; results are bitwise identical for
+        the dense backend.  Without ``answers`` the candidates are the
+        epoch's answers, so an answer attached by a publish still in
+        flight is not ranked yet.
     k, max_length, restart_prob:
         Removed; passing any of them raises ``TypeError`` with a
         migration hint (use ``params`` instead).
 
     Notes
     -----
-    Scores are sorted descending; exact ties are ordered by ``repr`` of
-    the answer id, which is stable across runs and platforms.
+    The order is :func:`~repro.similarity.ranking.rank_vector`'s.
+    Raises :class:`EvaluationError` when there is no candidate to rank.
     """
     params = resolve_similarity_params(
         params, k=k, max_length=max_length, restart_prob=restart_prob
@@ -62,7 +66,7 @@ def rank_answers(
     if not aug.is_query(query):
         raise EvaluationError(f"{query!r} is not a query node of the augmented graph")
     if answers is not None:
-        candidates = list(answers)
+        candidates: "list[Node] | None" = repr_order(answers)
         # Entities and queries score plausibly under inverse P-distance
         # and would silently pollute the top-k, so reject them here.
         for candidate in candidates:
@@ -71,18 +75,22 @@ def rank_answers(
                     f"candidate {candidate!r} is not an answer node of the "
                     f"augmented graph"
                 )
-    else:
+    elif engine is None:
         candidates = sorted(aug.answer_nodes, key=repr)
-    if not candidates:
+    else:
+        candidates = None  # the served epoch's answers
+    if candidates == []:
         raise EvaluationError("no candidate answers to rank")
     if engine is not None:
-        scores = engine.scores_for_query(query, candidates, params=params)
+        ranked = engine.top_k(query, targets=candidates, params=params)
     else:
         scores = resolve_backend(params).scores(
             aug.graph, query, candidates, params=params
         )
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], repr(item[0])))
-    return ordered[: params.k]
+        ranked = scores_to_ranked_list(scores)[: params.k]
+    if not ranked:
+        raise EvaluationError("no candidate answers to rank")
+    return ranked
 
 
 def rank_position(
@@ -104,5 +112,7 @@ def rank_position(
 
 
 def scores_to_ranked_list(scores: Mapping[Node, float]) -> list[tuple[Node, float]]:
-    """Sort a ``{answer: score}`` mapping into a deterministic ranked list."""
-    return sorted(scores.items(), key=lambda item: (-item[1], repr(item[0])))
+    """Every ``(answer, score)`` of ``scores``, in
+    :func:`~repro.similarity.ranking.rank_vector`'s order."""
+    targets = sorted(scores, key=repr)
+    return rank_vector(targets, [scores[t] for t in targets], len(targets))

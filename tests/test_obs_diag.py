@@ -226,6 +226,32 @@ class TestEndToEndAcceptance:
         assert "latency" in serve.attrs
         assert serve.attrs["backend"] == str(engine.params.backend)
 
+    @pytest.mark.parametrize("backend", ["dense", "push"])
+    def test_serve_event_fields_per_outcome(
+        self, tmp_path, registry, disarmed, backend
+    ):
+        arm_recorder(tmp_path / "flight", registry=registry)
+        aug = build_aug()
+        engine = SimilarityEngine(
+            aug, params=PARAMS.replace(backend=backend), registry=registry
+        )
+        engine.top_k("q0")  # miss
+        engine.top_k("q0")  # hit
+        rec = disarm_recorder()
+        miss, hit = [e.attrs for e in rec.events() if e.kind == "engine.serve"]
+        common = {"latency", "engine", "backend", "cache", "epoch"}
+        cost = {"edges_touched", "error_bound"} if backend == "push" else set()
+        assert set(miss) == common | cost
+        assert set(hit) == common
+        assert (miss["cache"], hit["cache"]) == ("miss", "hit")
+        for attrs in (miss, hit):
+            assert attrs["engine"] == engine.engine_label
+            assert attrs["backend"] == backend
+            assert attrs["epoch"] == engine.epoch == 1
+        if backend == "push":
+            assert miss["edges_touched"] > 0
+            assert 0.0 <= miss["error_bound"] < 1.0
+
 
 class TestDiagCli:
     def test_requires_an_input(self, capsys):

@@ -31,6 +31,7 @@ from repro.similarity.inverse_pdistance import (
     inverse_pdistance,
     inverse_pdistance_batch,
 )
+from repro.similarity.top_k import rank_answers
 
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
@@ -58,13 +59,20 @@ def build_aug(seed=3, num_entities=12):
     return aug, entities
 
 
+def bits(ranked):
+    """A ranked list with each score as its exact bit pattern."""
+    return [(answer, float(score).hex()) for answer, score in ranked]
+
+
 def assert_engine_matches_cold(engine, aug, params=PARAMS):
-    """Every attached query: engine == cold recompute, batch == single."""
+    """Every attached query: engine == cold recompute, batch == single,
+    and every ranked list == the cold ranked list."""
     targets = sorted(aug.answer_nodes, key=repr)
     queries = sorted(aug.query_nodes, key=repr)
     if not targets or not queries:
         return
     batch = engine.score_batch(queries, targets, params=params)
+    every = params.replace(k=len(targets))
     for query in queries:
         served = engine.scores_for_query(query, targets, params=params)
         default = engine.scores_for_query(query, params=params)
@@ -74,6 +82,21 @@ def assert_engine_matches_cold(engine, aug, params=PARAMS):
             assert served[target] == cold[target]  # bitwise, not approx
             assert batch[query][target] == cold[target]
             assert default[target] == cold[target]
+        ranked = bits(rank_answers(aug, query, params=every))
+        assert ranked == bits(
+            sorted(cold.items(), key=lambda item: (-item[1], repr(item[0])))
+        )
+        assert bits(engine.top_k(query, k=len(targets), params=params)) == ranked
+        # Explicit targets, unsorted and repeated: ranked the same.
+        shuffled = targets[::-1] + targets[:2]
+        assert (
+            bits(engine.top_k(query, k=len(targets), targets=shuffled, params=params))
+            == ranked
+        )
+        assert (
+            bits(rank_answers(aug, query, params=params, engine=engine))
+            == ranked[: params.k]
+        )
 
 
 class TestSimilarityParams:

@@ -35,6 +35,7 @@ from repro.serving import Patch, SimilarityEngine
 from repro.serving.worker import IngestItem, OptimizerWorker, VoteQueue
 from repro.similarity.backend import DenseBackend
 from repro.similarity.inverse_pdistance import inverse_pdistance
+from repro.similarity.top_k import rank_answers
 from repro.votes import Vote
 from repro.votes.stream import CountPolicy
 
@@ -474,6 +475,30 @@ class TestEpochPublication:
         assert served == before
         assert "a_late" in engine.scores_for_query("q0")
         assert engine.stats().rows_appended == 1
+
+    def test_rank_answers_during_publish_ranks_previous_epoch(self):
+        # Without explicit candidates, rank_answers ranks the answers of
+        # the epoch the engine serves, not the live graph's: an answer
+        # the publish in flight attached is not a candidate yet.
+        aug, _ = build_scenario()
+        engine = SimilarityEngine(aug, registry=MetricsRegistry())
+        params = engine.params.replace(k=len(aug.answer_nodes) + 1)
+        before = rank_answers(aug, "q0", params=params, engine=engine)
+        entity = next(iter(aug.query_links("q0")))
+
+        def attach():
+            aug.add_answer("a_late", {entity: 1})
+            return Patch(answers=["a_late"])
+
+        served = serve_during_publish(
+            engine,
+            attach,
+            lambda: rank_answers(aug, "q0", params=params, engine=engine),
+        )
+        assert served == before
+        after = rank_answers(aug, "q0", params=params, engine=engine)
+        assert "a_late" in [answer for answer, _ in after]
+        assert after == rank_answers(aug, "q0", params=params)
 
     def test_publish_inside_serve_leaves_new_epoch_clean(self, monkeypatch):
         aug, _ = build_scenario()

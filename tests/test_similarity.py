@@ -31,6 +31,7 @@ from repro.similarity import (
     rank_position,
     similarity_profile,
 )
+from repro.similarity.ranking import rank_vector, repr_order
 from repro.similarity.top_k import scores_to_ranked_list
 
 
@@ -269,3 +270,38 @@ class TestTopK:
     def test_deterministic_tie_break(self):
         ranked = scores_to_ranked_list({"b": 0.5, "a": 0.5, "c": 0.5})
         assert [answer for answer, _ in ranked] == ["a", "b", "c"]
+
+
+#: Few distinct scores, so most draws tie; ``0.0`` and ``-0.0`` compare
+#: equal and must tie too.
+TIE_SCORES = (0.0, -0.0, 0.25, 0.5, 0.5 + 2**-53, 1.0)
+#: Node ids whose ``repr`` order differs from their natural order
+#: (``10`` before ``9``; ``1`` before ``"1"``).
+NODE_IDS = st.one_of(st.integers(-2, 12), st.sampled_from(["1", "10", "9", "a", "B"]))
+
+
+def reference_ranking(pairs, k):
+    return sorted(pairs, key=lambda p: (-p[1], repr(p[0])))[:k]
+
+
+def exact(ranked):
+    return [(type(node), node, float(score).hex()) for node, score in ranked]
+
+
+class TestRankVector:
+    @settings(max_examples=300, deadline=None)
+    @given(nodes=st.lists(NODE_IDS, unique=True, max_size=14), data=st.data())
+    def test_matches_reference_sort(self, nodes, data):
+        scores = data.draw(
+            st.lists(
+                st.sampled_from(TIE_SCORES), min_size=len(nodes), max_size=len(nodes)
+            )
+        )
+        k = data.draw(st.integers(1, len(nodes) + 2))
+        pairs = list(zip(nodes, scores))
+        expected = exact(reference_ranking(pairs, k))
+        by_node = dict(pairs)
+        targets = repr_order(nodes + nodes[:3])  # repeats are dropped
+        in_order = [by_node[node] for node in targets]
+        assert exact(rank_vector(targets, in_order, k)) == expected
+        assert exact(scores_to_ranked_list(by_node)[:k]) == expected
