@@ -27,7 +27,7 @@ import json
 import os
 import time
 
-from conftest import report
+from conftest import engine_series, report
 
 import numpy as np
 
@@ -155,8 +155,8 @@ def bench_delta_revalidation(benchmark):
             per_round=per_round,
             cold_lat=cold_lat,
             delta_lat=delta_lat,
-            cold_stats=cold_engine.stats(),
-            delta_stats=delta_engine.stats(),
+            cold_stats=engine_series(cold_engine),
+            delta_stats=engine_series(delta_engine),
         )
         return results
 
@@ -164,19 +164,26 @@ def bench_delta_revalidation(benchmark):
 
     cold_lat = results["cold_lat"]
     delta_lat = results["delta_lat"]
-    delta_stats = results["delta_stats"]
-    cold_stats = results["cold_stats"]
+    delta = {
+        name: int(value) if name.endswith("_total") else value
+        for name, value in results["delta_stats"].items()
+    }
+    cold = {
+        name: int(value) if name.endswith("_total") else value
+        for name, value in results["cold_stats"].items()
+    }
+    delta_seconds = delta["engine_delta_seconds"]["sum"]
     cold_p50, cold_p95 = np.percentile(cold_lat, [50, 95])
     delta_p50, delta_p95 = np.percentile(delta_lat, [50, 95])
     speedup = cold_p50 / delta_p50
     num_serves = len(delta_lat)
     rows = [
         ["cold invalidation", f"{cold_p50 * 1e6:.0f}us",
-         f"{cold_p95 * 1e6:.0f}us", f"{cold_stats.cache_hits}",
-         f"{cold_stats.cache_misses}", "1.0x"],
+         f"{cold_p95 * 1e6:.0f}us", f"{cold['engine_cache_hits_total']}",
+         f"{cold['engine_cache_misses_total']}", "1.0x"],
         ["delta revalidation", f"{delta_p50 * 1e6:.0f}us",
-         f"{delta_p95 * 1e6:.0f}us", f"{delta_stats.cache_hits}",
-         f"{delta_stats.cache_misses}", f"{speedup:.1f}x"],
+         f"{delta_p95 * 1e6:.0f}us", f"{delta['engine_cache_hits_total']}",
+         f"{delta['engine_cache_misses_total']}", f"{speedup:.1f}x"],
     ]
     report(
         format_table(
@@ -187,10 +194,10 @@ def bench_delta_revalidation(benchmark):
                 f"{results['per_round']} patched edges "
                 f"(~{100 * results['per_round'] / results['num_edges']:.1f}% "
                 f"of {results['num_edges']}) x {NUM_QUERIES} queries "
-                f"({delta_stats.delta_revalidations} revalidations, "
-                f"{delta_stats.delta_entries_patched} entries patched, "
-                f"{delta_stats.delta_fallbacks} fallbacks, "
-                f"delta time {delta_stats.delta_time * 1e3:.1f}ms)"
+                f"({delta['engine_delta_revalidations_total']} revalidations, "
+                f"{delta['engine_delta_entries_patched_total']} entries patched, "
+                f"{delta['engine_delta_fallbacks_total']} fallbacks, "
+                f"delta time {delta_seconds * 1e3:.1f}ms)"
             ),
         )
     )
@@ -209,13 +216,13 @@ def bench_delta_revalidation(benchmark):
             "delta_p50_seconds": float(delta_p50),
             "delta_p95_seconds": float(delta_p95),
             "p50_speedup": float(speedup),
-            "delta_revalidations": delta_stats.delta_revalidations,
-            "delta_entries_patched": delta_stats.delta_entries_patched,
-            "delta_fallbacks": delta_stats.delta_fallbacks,
-            "delta_seconds": delta_stats.delta_time,
-            "delta_cache_hits": delta_stats.cache_hits,
-            "delta_cache_misses": delta_stats.cache_misses,
-            "cold_cache_misses": cold_stats.cache_misses,
+            "delta_revalidations": delta["engine_delta_revalidations_total"],
+            "delta_entries_patched": delta["engine_delta_entries_patched_total"],
+            "delta_fallbacks": delta["engine_delta_fallbacks_total"],
+            "delta_seconds": delta_seconds,
+            "delta_cache_hits": delta["engine_cache_hits_total"],
+            "delta_cache_misses": delta["engine_cache_misses_total"],
+            "cold_cache_misses": cold["engine_cache_misses_total"],
         }
         with open(
             os.path.join(OUTPUT_DIR, "BENCH_delta_revalidation.json"),
@@ -226,10 +233,10 @@ def bench_delta_revalidation(benchmark):
 
     # The delta path never repropagated after the warmup misses, while
     # the cold path missed once per query per patch round.
-    assert delta_stats.cache_misses == NUM_QUERIES
-    assert delta_stats.delta_revalidations == NUM_ROUNDS
-    assert delta_stats.delta_fallbacks == 0
-    assert cold_stats.cache_misses == NUM_QUERIES * (NUM_ROUNDS + 1)
+    assert delta["engine_cache_misses_total"] == NUM_QUERIES
+    assert delta["engine_delta_revalidations_total"] == NUM_ROUNDS
+    assert delta["engine_delta_fallbacks_total"] == 0
+    assert cold["engine_cache_misses_total"] == NUM_QUERIES * (NUM_ROUNDS + 1)
     assert speedup >= MIN_SPEEDUP, (
         f"delta revalidation should serve ≥{MIN_SPEEDUP:g}x faster than "
         f"cold invalidation right after a sparse patch, got {speedup:.1f}x "

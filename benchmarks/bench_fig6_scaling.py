@@ -33,7 +33,7 @@ import json
 import os
 import time
 
-from conftest import report
+from conftest import engine_series, report
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def _build_serving_workload(scale):
 
 
 def _timed_top_k(aug, queries, params):
-    """Per-query top-k latency + engine stats with an LRU of size 0.
+    """Per-query top-k latency + engine series with an LRU of size 0.
 
     ``cache_size=0`` forces every call through the kernel, so the
     measurement is pure propagation cost, not cache-hit cost.
@@ -195,7 +195,7 @@ def _timed_top_k(aug, queries, params):
         for query in queries:
             top_lists.append(engine.top_k(query))
         elapsed = time.perf_counter() - start
-        return elapsed / len(queries), engine.stats(), top_lists
+        return elapsed / len(queries), engine_series(engine), top_lists
     finally:
         engine.close()
 
@@ -212,7 +212,10 @@ def _measure_crossover_scale(scale):
     assert [
         [doc for doc, _ in ranked] for ranked in dense_lists
     ] == [[doc for doc, _ in ranked] for ranked in push_lists]
-    touched_mean = push_stats.push_edges_touched / push_stats.push_serves
+    touched_mean = (
+        push_stats["engine_push_edges_touched"]["sum"]
+        / push_stats["engine_push_serves_total"]
+    )
     return dict(
         scale=scale,
         num_edges=num_edges,

@@ -23,7 +23,7 @@ import json
 import os
 import time
 
-from conftest import report
+from conftest import engine_series, report
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def bench_serving_throughput(benchmark):
             cold_time=cold_time,
             engine_time=engine_time,
             batch_time=batch_time,
-            stats=engine_system.serving_stats(),
+            stats=engine_series(engine_system.engine),
         )
         return results
 
@@ -123,7 +123,11 @@ def bench_serving_throughput(benchmark):
     cold_time = results["cold_time"]
     engine_time = results["engine_time"]
     batch_time = results["batch_time"]
-    stats = results["stats"]
+    stats = {
+        name: int(value)
+        for name, value in results["stats"].items()
+        if name.endswith("_total")
+    }
     speedup = cold_time / engine_time
     rows = [
         ["rebuild per call (seed)", f"{cold_time:.3f}s",
@@ -139,9 +143,9 @@ def bench_serving_throughput(benchmark):
             rows,
             title=(
                 f"Serving throughput on a {results['num_edges']}-edge graph "
-                f"(engine: {stats.builds} build(s), "
-                f"{stats.cache_hits} cache hits, "
-                f"{stats.rebuilds_avoided} rebuilds avoided)"
+                f"(engine: {stats['engine_builds_total']} build(s), "
+                f"{stats['engine_cache_hits_total']} cache hits, "
+                f"{stats['engine_rebuilds_avoided_total']} rebuilds avoided)"
             ),
         )
     )
@@ -157,8 +161,8 @@ def bench_serving_throughput(benchmark):
             "engine_seconds": engine_time,
             "batch_seconds": batch_time,
             "speedup": speedup,
-            "cache_hits": stats.cache_hits,
-            "builds": stats.builds,
+            "cache_hits": stats["engine_cache_hits_total"],
+            "builds": stats["engine_builds_total"],
         }
         with open(
             os.path.join(OUTPUT_DIR, "BENCH_serving_throughput.json"),
@@ -177,28 +181,32 @@ def bench_serving_throughput(benchmark):
         f"engine serving should be ≥{MIN_SPEEDUP:g}x the rebuild-per-call "
         f"path, got {speedup:.1f}x ({engine_time:.3f}s vs {cold_time:.3f}s)"
     )
-    assert stats.builds == 1  # the matrix was built exactly once
-    assert stats.cache_hits > 0  # repeated questions hit the LRU
+    assert stats["engine_builds_total"] == 1  # the matrix was built exactly once
+    assert stats["engine_cache_hits_total"] > 0  # repeated questions hit the LRU
 
 
 #: Multiplicative ceiling for the armed-recorder ask loop, plus an
 #: absolute slack floor — 5% of a sub-second loop is single-digit
 #: milliseconds, well inside scheduler noise, so a pure ratio check
-#: would flake.
+#: would flake.  The slack dominates: it is several times the whole
+#: loop, so the bound catches gross recorder costs only (arming
+#: measures about +4–5 µs per ask, +8–16% of this loop).
 MAX_RECORDER_OVERHEAD = 1.05
 RECORDER_SLACK_SECONDS = 0.05
 
 
 def bench_recorder_overhead(benchmark, tmp_path):
-    """Flight-recorder arming must stay within 5% of the disarmed path.
+    """Flight-recorder arming must not add a gross cost to the ask loop.
 
-    The recorder's hot-path contract is one global load and a ``None``
-    check when disarmed, and a dict build plus deque append when armed
-    — nothing that should be visible next to a propagation, and barely
-    visible next to a cache hit.  Replays the same ask loop as the
-    throughput bench with the recorder off and on (best of three each,
-    to shed warm-up and scheduler noise) and asserts the armed loop is
-    within ``MAX_RECORDER_OVERHEAD`` (plus absolute slack).
+    Disarmed, an observed operation pays one global load for the
+    recorder; armed, one event object, a deque append and a locked
+    counter increment per event — two events per cache-hit ask, about
+    4–5 µs, which is +8–16% of this cache-hit loop but invisible next to
+    a propagation.  Replays the same ask loop as the throughput bench
+    with the recorder off and on (best of three each, to shed warm-up
+    and scheduler noise) and asserts the armed loop is within
+    ``MAX_RECORDER_OVERHEAD`` plus ``RECORDER_SLACK_SECONDS``; the
+    slack, not the ratio, decides on loops this short.
     """
     from repro.obs.recorder import arm_recorder, disarm_recorder
 
@@ -260,5 +268,5 @@ def bench_recorder_overhead(benchmark, tmp_path):
 
     assert on <= off * MAX_RECORDER_OVERHEAD + RECORDER_SLACK_SECONDS, (
         f"armed recorder cost {overhead:+.1f}% over disarmed "
-        f"({on:.3f}s vs {off:.3f}s); hot-path recording must stay ≤5%"
+        f"({on:.3f}s vs {off:.3f}s), beyond the ratio and slack bound"
     )

@@ -32,6 +32,20 @@ def report(text: str) -> None:
     _REPORTS.append(text)
 
 
+def engine_series(engine) -> dict[str, object]:
+    """Snapshot of ``engine``'s ``engine_*`` registry series, by name.
+
+    Counters and gauges read as floats; a histogram as its
+    ``count``/``sum``/``buckets`` dict.
+    """
+    label = engine.engine_label
+    return {
+        metric.name: metric.snapshot_value()
+        for metric in engine.registry.series().values()
+        if metric.labels.get("engine") == label
+    }
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _REPORTS:
         return

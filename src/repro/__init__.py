@@ -10,7 +10,7 @@ Quick start::
 
     from repro import (
         generate_helpdesk_corpus, build_knowledge_graph,
-        QASystem, SimilarityParams,
+        QASystem, SimilarityParams, get_registry, summary_table,
     )
 
     corpus = generate_helpdesk_corpus(seed=0)
@@ -22,10 +22,13 @@ Quick start::
     system.vote("q0", best_doc=answers[2][0])   # a negative vote
     report = system.optimize(strategy="multi")  # adjust edge weights
     print(report.summary())
-    print(system.serving_stats())               # engine cache counters
+    print(summary_table(get_registry()))        # counters and latencies
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-reproduced tables and figures.
+Every timed operation (an ask, a serve, a propagation, a solve, a WAL
+append) is one :func:`observe` call that feeds its latency histogram,
+its tracing span and the flight recorder; the engine's counters are
+``engine_*`` series in :func:`get_registry`.  See DESIGN.md for the
+architecture and EXPERIMENTS.md for the reproduced tables and figures.
 """
 
 from repro.errors import ReproError
@@ -75,10 +78,11 @@ from repro.obs import (
     last_trace,
     metrics_to_prometheus,
     recent_traces,
+    observe,
     summary_table,
     trace_span,
 )
-from repro.serving import EngineStats, SimilarityEngine, SimilarityParams
+from repro.serving import SimilarityEngine, SimilarityParams
 
 __version__ = "1.0.0"
 
@@ -116,9 +120,9 @@ __all__ = [
     "vote_omega_avg",
     "SimilarityParams",
     "SimilarityEngine",
-    "EngineStats",
     "MetricsRegistry",
     "get_registry",
+    "observe",
     "trace_span",
     "last_trace",
     "recent_traces",

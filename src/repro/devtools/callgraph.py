@@ -93,7 +93,7 @@ class CallSite:
 
     target: str  #: package qualname, ``ext:<dotted>``, or ``ext:open[w]``
     line: int
-    via: str  #: direct | self | super | typed | import | cha | ctor
+    via: str  #: direct | self | super | typed | import | cha | ctor | with
 
     @property
     def external(self) -> bool:
@@ -672,7 +672,65 @@ class _Builder:
                         sites.extend(
                             self._cha_sites(mod, cls, local_types, sub)
                         )
+                elif isinstance(sub, (ast.With, ast.AsyncWith)):
+                    sites.extend(self._with_sites(mod, cls, local_types, sub))
         fn.calls = sites
+
+    def _with_sites(
+        self,
+        mod: ModuleInfo,
+        cls: "ClassInfo | None",
+        local_types: "dict[str, str]",
+        stmt: "ast.With | ast.AsyncWith",
+    ) -> "list[CallSite]":
+        """``__enter__``/``__exit__`` of the context each ``with`` item opens.
+
+        The context's class comes from the item's call: a constructor
+        names it, and a package function names it by its return
+        annotation (every package class in it, for a union, and their
+        subclasses, which the function may return too).
+        """
+        sites: "list[CallSite]" = []
+        for item in stmt.items:
+            call = item.context_expr
+            if not isinstance(call, ast.Call):
+                continue
+            site = self._resolve_call(mod, cls, local_types, call)
+            if site is None:
+                continue
+            for class_qual in self._context_classes(site):
+                for dunder in ("__enter__", "__exit__"):
+                    method = self._find_method(class_qual, dunder)
+                    if method is not None:
+                        sites.append(CallSite(method, call.lineno, "with"))
+        return sites
+
+    def _context_classes(self, site: CallSite) -> "list[str]":
+        """Package classes a resolved call returns (see ``_with_sites``)."""
+        if site.via == "ctor":
+            return [site.target.rsplit(".", 1)[0]]
+        fn = self._graph.functions.get(site.target)
+        if fn is None or fn.node is None:
+            return []
+        returns = getattr(fn.node, "returns", None)
+        if isinstance(returns, ast.Constant) and isinstance(returns.value, str):
+            try:
+                returns = ast.parse(returns.value, mode="eval").body
+            except SyntaxError:
+                return []
+        if returns is None:
+            return []
+        home = self.modules[fn.module]
+        classes: "list[str]" = []
+        for name in ast.walk(returns):
+            if isinstance(name, ast.Name):
+                entity = self._resolve_bare(home, name.id)
+                if entity is not None and entity[0] == "class":
+                    classes.append(entity[1])
+        for cls in self._graph.classes.values():
+            if any(self._base_class(cls, base) in classes for base in cls.bases):
+                classes.append(cls.qualname)
+        return classes
 
     def _local_types(
         self, mod: ModuleInfo, cls: "ClassInfo | None", node
@@ -841,17 +899,20 @@ class _Builder:
         if method in cls.methods:
             return cls.methods[method].qualname
         # single-level base fallback
-        mod = self.modules.get(cls.module)
         for base in cls.bases:
-            entity = None
-            if mod is not None:
-                entity = (
-                    self._resolve_bare(mod, base)
-                    if "." not in base
-                    else self._resolve_dotted_in(mod, base)
-                )
-            if entity is not None and entity[0] == "class":
-                parent = self._graph.classes.get(entity[1])
-                if parent is not None and method in parent.methods:
-                    return parent.methods[method].qualname
+            parent = self._graph.classes.get(self._base_class(cls, base) or "")
+            if parent is not None and method in parent.methods:
+                return parent.methods[method].qualname
         return None
+
+    def _base_class(self, cls: ClassInfo, base: str) -> "str | None":
+        """The package class ``base`` (as ``cls`` spells it) names, if any."""
+        mod = self.modules.get(cls.module)
+        if mod is None:
+            return None
+        entity = (
+            self._resolve_bare(mod, base)
+            if "." not in base
+            else self._resolve_dotted_in(mod, base)
+        )
+        return entity[1] if entity is not None and entity[0] == "class" else None

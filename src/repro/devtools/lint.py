@@ -12,7 +12,8 @@ Rule      What it rejects
 ``R001``  Direct mutation of CSR buffers (``.data`` / ``.indices`` /
           ``.indptr`` assignment) outside the
           :class:`~repro.serving.engine.SimilarityEngine` patch API.
-``R002``  A string literal passed to ``trace_span`` or to
+``R002``  A string literal passed to ``observe`` (or the drivers'
+          ``observe_run``, which opens one), ``trace_span`` or
           ``registry.counter/gauge/histogram`` that is not declared in
           :mod:`repro.obs.catalog` — the typo'd-phantom-series guard.
 ``R003``  ``print()`` calls in library code (the logging migration
@@ -22,10 +23,9 @@ Rule      What it rejects
           ``default_rng()`` (attribute or from-import spelling), direct
           ``Generator(...)`` construction, or any RNG construction at
           module import time — all outside ``utils/rng.py``.
-``R005``  Raw ``time.time()`` timing where
-          :class:`~repro.utils.timing.Stopwatch` exists — wall-clock
-          time is not monotonic and the repo already has the right
-          tool (outside ``utils/timing.py``).
+``R005``  Raw ``time.time()`` timing — wall-clock time is not
+          monotonic; time an operation with :func:`repro.obs.observe`
+          (or ``time.perf_counter``).
 ``R006``  Direct calls to the similarity kernels
           (``inverse_pdistance*`` / ``ppr_*``) outside the
           ``similarity/`` package — callers must resolve a kernel
@@ -94,7 +94,7 @@ RULES: dict[str, str] = {
         "no module-level or unseeded np.random/random usage outside "
         "utils/rng.py"
     ),
-    "R005": "no raw time.time() timing where utils.timing.Stopwatch exists",
+    "R005": "no raw time.time() timing; use repro.obs.observe / time.perf_counter",
     "R006": (
         "no direct inverse_pdistance*/ppr_* kernel calls outside similarity/; "
         "resolve kernels via SimilarityParams.backend and the backend registry"
@@ -124,7 +124,6 @@ GRAPH_RULES = frozenset({"R008", "R010"})
 _RULE_EXEMPT_FILES: dict[str, tuple[str, ...]] = {
     "R001": ("serving/engine.py",),
     "R004": ("utils/rng.py",),
-    "R005": ("utils/timing.py",),
 }
 
 #: Directories whose *every* file is exempt from a rule because the
@@ -143,6 +142,9 @@ _CSR_BUFFERS = frozenset({"data", "indices", "indptr"})
 #: ``np.random`` members that construct *seedable* generators; every
 #: other member is the legacy global-state API and always violates R004.
 _SEEDED_RNG_FACTORIES = frozenset({"default_rng", "Generator", "SeedSequence"})
+
+#: Callables whose literal first argument is a span name.
+_SPAN_CALLS = frozenset({"observe", "observe_run", "trace_span"})
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9, ]+))?", re.IGNORECASE)
 
@@ -321,7 +323,7 @@ class _RuleVisitor(ast.NodeVisitor):
             self._emit(
                 "R005",
                 node,
-                "raw time.time() timing; use utils.timing.Stopwatch / "
+                "raw time.time() timing; use repro.obs.observe / "
                 "time.perf_counter",
             )
         # R004: np.random.* calls (attribute and from-import spellings)
@@ -403,7 +405,9 @@ class _RuleVisitor(ast.NodeVisitor):
 def _obs_name_of(node: ast.Call) -> "tuple[str, str] | None":
     """``(kind, name)`` when ``node`` emits an obs series, else ``None``.
 
-    Matches the shapes R002 polices — ``trace_span("...")`` and
+    Matches the shapes R002 polices — ``observe("...")`` (and
+    ``observe_run("...")``, which passes its name to ``observe``),
+    ``trace_span("...")`` and
     ``<registry>.counter/gauge/histogram("...")`` with a literal first
     argument, plus the local-alias idiom ``counter = registry.counter;
     counter("...")`` — so the dead-series sweep (R007) and the
@@ -417,7 +421,7 @@ def _obs_name_of(node: ast.Call) -> "tuple[str, str] | None":
     if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
         return None
     if isinstance(func, ast.Name):
-        if func.id == "trace_span":
+        if func.id in _SPAN_CALLS:
             return "span", first.value
         if func.id in ("counter", "gauge", "histogram"):
             return func.id, first.value

@@ -15,7 +15,7 @@ from repro.eval.metrics import (
 )
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
-from repro.obs import trace_span
+from repro.obs import observe
 from repro.serving.params import SimilarityParams
 from repro.similarity.backend import resolve_backend
 from repro.similarity.top_k import rank_position, scores_to_ranked_list
@@ -161,11 +161,11 @@ def evaluate_test_set(
             raise EvaluationError(
                 f"ground-truth answer {best!r} for query {query!r} is not a candidate"
             )
-    with trace_span(
+    with observe(
         "eval.test_set",
         num_queries=len(test_pairs),
         num_candidates=len(pool),
-    ) as span:
+    ) as op:
         # One stacked propagation scores every test query at once.
         if engine is not None:
             all_scores = engine.score_batch(
@@ -193,5 +193,5 @@ def evaluate_test_set(
             map_score=mean_average_precision(ranked_lists, relevant_sets),
             hits={k: hits_at_k(ranks, k) for k in k_values},
         )
-        span.set_attrs(r_avg=round(result.r_avg, 4), mrr=round(result.mrr, 4))
+        op.set(r_avg=round(result.r_avg, 4), mrr=round(result.mrr, 4))
     return result

@@ -3,12 +3,15 @@
 Everything the serving and optimization layers emit flows through this
 package:
 
+- :mod:`repro.obs.operation` — :class:`observe`, the one call that
+  times an operation into its latency histogram, its tracing span and
+  the flight recorder from a single pair of clock readings;
 - :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
   of counters, gauges, and fixed-bucket latency histograms; hot-path
   cheap, snapshot-able as a plain dict;
-- :mod:`repro.obs.tracing` — :func:`trace_span`, nested per-request
-  span trees collected into :class:`Trace` objects (JSONL-exportable,
-  console-renderable);
+- :mod:`repro.obs.tracing` — nested per-request span trees collected
+  into :class:`Trace` objects (JSONL-exportable, console-renderable);
+  :func:`trace_span` is the bare span :class:`observe` opens;
 - :mod:`repro.obs.exporters` — JSONL writers, Prometheus text
   exposition, and :func:`summary_table` for end-of-run CLI breakdowns;
 - :mod:`repro.obs.recorder` — the flight recorder: a bounded ring of
@@ -72,6 +75,7 @@ from repro.obs.recorder import (
     arm_recorder,
     disarm_recorder,
 )
+from repro.obs.operation import observe
 from repro.obs.slo import (
     LatencyObjective,
     SLOStatus,
@@ -124,6 +128,7 @@ __all__ = [
     "arm_recorder",
     "disarm_recorder",
     "active_recorder",
+    "observe",
     "LatencyObjective",
     "SLOStatus",
     "SLOWatchdog",

@@ -7,8 +7,9 @@ silently creates a phantom series that no dashboard reads while the
 real one flatlines.  Two guards consume this catalog:
 
 - the custom lint rule **R002** (:mod:`repro.devtools.lint`) rejects
-  any string literal passed to ``registry.counter/gauge/histogram`` or
-  ``trace_span`` that is not declared here, at lint time;
+  any string literal passed to ``registry.counter/gauge/histogram``,
+  ``observe`` or ``trace_span`` that is not declared here, at lint
+  time;
 - the test suite asserts every catalog entry follows the naming
   conventions below, so the catalog cannot drift into chaos either.
 
@@ -128,7 +129,6 @@ COUNTERS: frozenset[str] = frozenset(
 GAUGES: frozenset[str] = frozenset(
     {
         "engine_cache_entries",
-        "engine_graph_version",
         "wal_last_seq",
         "snapshot_last_seq",
         # durability staleness (repro/persistence/store.py): how far the
@@ -182,8 +182,12 @@ SPANS: frozenset[str] = frozenset(
         "qa.ask",
         "qa.ask_many",
         "qa.optimize",
-        # serving engine
+        # serving engine: a serve (one query or a batch) and the stages
+        # under it
+        "engine.serve",
+        "engine.serve_batch",
         "engine.rebuild",
+        "engine.append_rows",
         "engine.propagate",
         "engine.push",
         "engine.delta",
@@ -204,6 +208,7 @@ SPANS: frozenset[str] = frozenset(
         "votes.feasibility_filter",
         "eval.test_set",
         # durability layer
+        "wal.append",
         "wal.replay",
         "snapshot.write",
         "snapshot.recover",

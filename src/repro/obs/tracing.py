@@ -16,6 +16,10 @@ Usage::
     for line in trace.to_json_lines():
         ...                     # one JSON object per span
 
+Program code times each operation with :func:`repro.obs.observe`,
+which opens the same span and also feeds the operation's histogram and
+the flight recorder; :func:`trace_span` is the bare span underneath.
+
 Spans nest through a thread-local stack, so concurrently served threads
 get independent traces.  When the outermost span of a thread closes,
 the finished :class:`Trace` lands in a bounded ring buffer
@@ -74,37 +78,38 @@ class Span:
 
     __slots__ = ("span_id", "name", "attrs", "start", "end", "children")
 
-    #: Real spans record attributes; a sampled-out root does not.  Hot
-    #: paths guard optional attribute work with ``if span.recording:``
-    #: so a skipped request pays one attribute load instead of building
-    #: kwargs for a no-op ``set_attrs``.
-    recording = True
-
     def __init__(self, name: str, attrs: dict) -> None:
         self.span_id = next(_span_ids)
         self.name = name
         self.attrs = attrs
-        # Re-armed by __enter__; set here too so a Span is well-formed
-        # even before (or without) entering its context.
-        self.start = perf_counter()
+        # Set by entering (``_open``): the clock is read once, there.
+        self.start = 0.0
         self.end: "float | None" = None
         self.children: list[Span] = []
 
     def __enter__(self) -> "Span":
-        stack = getattr(_local, "stack", None)  # _stack(), sans the call
-        if stack is None:
-            stack = _local.stack = []
-        if stack:
-            stack[-1].children.append(self)
-        stack.append(self)
-        self.start = perf_counter()  # exclude construct-to-enter gap
+        self._open(perf_counter())
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self._close(perf_counter(), exc_type)
+        return False
+
+    def _open(self, start: float) -> None:
+        """Push onto this thread's stack, started at ``start`` (an
+        operation passes its own clock readings here and to ``_close``)."""
+        stack = _local.stack
+        if stack:
+            stack[-1].children.append(self)
+        stack.append(self)
+        self.start = start
+
+    def _close(self, end: float, exc_type: "type[BaseException] | None") -> None:
+        """Pop, ended at ``end``; the outermost span finalizes a trace."""
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self.finish()
-        stack = _local.stack  # __enter__ guaranteed it exists
+        self.end = end
+        stack = _local.stack
         stack.pop()
         if not stack:
             trace = Trace(self)
@@ -121,7 +126,6 @@ class Span:
                 get_registry().counter("obs_traces_dropped_total").inc()
             for listener in listeners:
                 listener(trace)
-        return False
 
     @property
     def duration(self) -> float:
@@ -131,10 +135,6 @@ class Span:
     def set_attrs(self, **attrs) -> None:
         """Attach/overwrite attributes (solver iteration counts etc.)."""
         self.attrs.update(attrs)
-
-    def finish(self) -> None:
-        if self.end is None:
-            self.end = perf_counter()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Span {self.name!r} {self.duration * 1e3:.2f}ms>"
@@ -240,7 +240,14 @@ def _jsonable(attrs: "dict[str, object]") -> "dict[str, object]":
     return out
 
 
-_local = threading.local()
+class _ThreadState(threading.local):
+    """Per-thread open-span stack (created on each thread's first use)."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span | _NoopSpan] = []
+
+
+_local = _ThreadState()
 #: Guards the trace ring and the listener list — any thread's outermost
 #: span exit publishes into both, so GIL luck is not a discipline.
 _ring_lock = threading.Lock()
@@ -248,17 +255,11 @@ _finished: deque[Trace] = deque(maxlen=TRACE_BUFFER_SIZE)
 _listeners: list[Callable[[Trace], None]] = []
 
 
-def _stack() -> list[Span]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
-
-
 def current_span() -> "Span | None":
     """The innermost open span on this thread, or ``None``."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    stack = _local.stack
+    top = stack[-1] if stack else None
+    return top if isinstance(top, Span) else None
 
 
 class _NoopSpan:
@@ -267,30 +268,29 @@ class _NoopSpan:
     A process-wide singleton, so skipping a trace costs one comparison
     and no allocation.  It deliberately mirrors the :class:`Span`
     surface that instrumentation sites touch (``set_attrs``,
-    ``finish``, ``duration``) so callers never branch on sampling.
+    ``duration``) so callers never branch on sampling.
     """
 
     __slots__ = ()
-    recording = False
-    name = "<sampled out>"
-    attrs: dict = {}
-    children: list = []
     duration = 0.0
 
     def __enter__(self) -> "_NoopSpan":
-        # Spans opened underneath see an empty *span* stack, so this
-        # depth is what tells them their root was sampled out.
-        _local.noop_depth = getattr(_local, "noop_depth", 0) + 1
+        self._open(0.0)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _local.noop_depth -= 1
+        self._close(0.0, exc_type)
         return False
 
-    def set_attrs(self, **attrs) -> None:
-        pass
+    def _open(self, start: float) -> None:
+        # On the stack, it tells the spans opened underneath that their
+        # root was sampled out.
+        _local.stack.append(self)
 
-    def finish(self) -> None:
+    def _close(self, end: float, exc_type: object) -> None:
+        _local.stack.pop()
+
+    def set_attrs(self, **attrs) -> None:
         pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -330,18 +330,29 @@ def set_trace_sampling(every: int) -> int:
 def trace_span(name: str, **attrs) -> "Span | _NoopSpan":
     """A span ready to enter; nests under the thread's current span.
 
-    Plain function returning a :class:`Span` (which is its own context
-    manager) rather than ``@contextmanager``: the generator machinery
-    costs more than the span bookkeeping itself, and this sits on the
-    per-request serving hot path.
+    Program code times its operations with :func:`repro.obs.observe`,
+    which opens its span the same way; this bare span serves the
+    observability layer itself (bundle dumps) and tests.
 
     Under :func:`set_trace_sampling` a would-be root span may instead
     be a free no-op singleton; spans opened inside a live span are
     always real so traced trees stay complete.
     """
-    if _sample_every != 1 and not getattr(_local, "stack", None):
-        if getattr(_local, "noop_depth", 0):  # inside a sampled-out root
-            return _NOOP_SPAN
+    span = _new_span(name, attrs)
+    return _NOOP_SPAN if span is None else span
+
+
+def _new_span(name: str, attrs: dict) -> "Span | _NoopSpan | None":
+    """The span an operation opens now on this thread.
+
+    A :class:`Span` when traced, the no-op for a sampled-out root (it
+    goes on the stack, so what opens underneath sees it), and ``None``
+    inside a sampled-out root, where there is nothing to record.
+    """
+    stack = _local.stack
+    if stack:
+        return None if stack[-1] is _NOOP_SPAN else Span(name, attrs)
+    if _sample_every != 1:
         global _root_seen
         seen = _root_seen
         _root_seen = seen + 1

@@ -18,7 +18,6 @@ answers — the ingredient whose absence makes the single-vote solution
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from repro.devtools.contracts import check_monotone_deviations, check_weight_bounds
 from repro.errors import SGPModelError
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry, observe
 from repro.optimize.apply import apply_edge_weights, solution_edge_weights
 from repro.optimize.encoder import (
     DEFAULT_LOWER,
@@ -42,7 +41,7 @@ from repro.optimize.objectives import (
     sigmoid_deviation_objective,
     step_count,
 )
-from repro.optimize.report import OptimizeReport, record_optimize_run
+from repro.optimize.report import OptimizeReport, observe_run
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.sgp.solver import SGPSolution, solve_sgp
 from repro.votes.feasibility import filter_feasible
@@ -149,32 +148,30 @@ def solve_multi_vote(
     )
     max_length = params.max_length
     restart_prob = params.restart_prob
-    with trace_span("optimize.multi_vote") as span:
+    report = MultiVoteReport()
+    with observe_run("optimize.multi_vote", report) as op:
         result = aug if in_place else aug.copy()
-        report = MultiVoteReport()
-        start = time.perf_counter()
-
         vote_list = list(votes)
         if feasibility_filter:
-            filter_start = time.perf_counter()
-            kept, discarded = filter_feasible(
-                result,
-                VoteSet(vote_list),
-                max_length=max_length,
-                restart_prob=restart_prob,
-            )
-            report.filter_time = time.perf_counter() - filter_start
+            with observe(
+                "votes.feasibility_filter", num_votes=len(vote_list)
+            ) as filter_op:
+                kept, discarded = filter_feasible(
+                    result,
+                    VoteSet(vote_list),
+                    max_length=max_length,
+                    restart_prob=restart_prob,
+                )
+                filter_op.set(kept=len(kept), discarded=len(discarded))
+            report.filter_time = filter_op.elapsed
             report.discarded_votes = discarded
             vote_list = list(kept)
         if not vote_list:
-            report.elapsed = time.perf_counter() - start
-            span.set_attrs(num_votes=0, discarded=len(report.discarded_votes))
-            record_optimize_run(report)
+            op.set(num_votes=0, discarded=len(report.discarded_votes))
             return result, report
 
-        encode_start = time.perf_counter()
         try:
-            with trace_span("optimize.encode", num_votes=len(vote_list)):
+            with observe("optimize.encode", num_votes=len(vote_list)) as encode_op:
                 encoded = encode_votes(
                     result,
                     vote_list,
@@ -187,11 +184,9 @@ def solve_multi_vote(
                 )
         except SGPModelError:
             # Nothing adjustable within reach of any vote: return unchanged.
-            report.elapsed = time.perf_counter() - start
-            span.set_attrs(num_votes=len(vote_list), encodable=False)
-            record_optimize_run(report)
+            op.set(num_votes=len(vote_list), encodable=False)
             return result, report
-        report.encode_time = time.perf_counter() - encode_start
+        report.encode_time = encode_op.elapsed
         report.encoded = encoded
         report.num_votes_encoded = len(vote_list) - len(encoded.skipped_votes)
         report.num_constraints = encoded.problem.num_constraints
@@ -234,7 +229,7 @@ def solve_multi_vote(
             )
             for magnitude in deviations:
                 deviation_hist.observe(float(magnitude))
-        span.set_attrs(
+        op.set(
             num_votes=len(vote_list),
             num_constraints=report.num_constraints,
             num_satisfied=report.num_satisfied_constraints,
@@ -249,7 +244,5 @@ def solve_multi_vote(
             solution_edge_weights(encoded, solution),
             normalize=normalize,
         )
-        report.elapsed = time.perf_counter() - start
-        span.set_attrs(changed_edges=len(report.changed_edges))
-        record_optimize_run(report)
+        op.set(changed_edges=len(report.changed_edges))
         return result, report

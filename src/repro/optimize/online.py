@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import PersistenceError, VoteError
 from repro.eval.harness import vote_omega_avg
-from repro.obs import trace_span
+from repro.obs import observe
 from repro.graph.augmented import AugmentedGraph
 from repro.optimize.multi_vote import solve_multi_vote
 from repro.optimize.split_merge import solve_split_merge
@@ -285,7 +285,7 @@ class OnlineOptimizer:
         """Re-buffer already-durable votes, firing flushes as live mode did."""
         if not records:
             return
-        with trace_span("wal.replay") as span:
+        with observe("wal.replay") as op:
             batches_before = len(self.history)
             for record in records:
                 if record.links is not None and not self.aug.is_query(
@@ -308,8 +308,8 @@ class OnlineOptimizer:
                 self._pending_seqs.append(record.seq)
                 if self.policy.should_optimize(self.pending):
                     self.flush()
-            if span.recording:
-                span.set_attrs(
+            if op.recording:
+                op.set(
                     records=len(records),
                     batches_fired=len(self.history) - batches_before,
                 )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import trace_span
+from repro.obs import observe
 from repro.optimize.apply import weight_deltas
 from repro.votes.types import Vote
 
@@ -61,11 +61,11 @@ def solve_one_cluster(
     """
     from repro.optimize.multi_vote import solve_multi_vote  # local: avoid cycle
 
-    with trace_span(
+    with observe(
         "optimize.cluster", index=index, num_votes=len(cluster_votes)
-    ) as span:
+    ) as op:
         _graph, report = solve_multi_vote(aug, list(cluster_votes), **options)
-        span.set_attrs(
+        op.set(
             num_constraints=report.num_constraints,
             num_satisfied=report.num_satisfied_constraints,
             num_discarded=len(report.discarded_votes),
@@ -136,13 +136,13 @@ def solve_clusters_parallel(
     payloads = [
         (list(cluster), index, opts) for index, cluster in enumerate(clusters)
     ]
-    with trace_span(
+    with observe(
         "optimize.solve_clusters",
         num_clusters=len(payloads),
         num_workers=num_workers,
-    ) as span:
+    ) as op:
         if num_workers == 1 or len(payloads) <= 1:
-            span.set_attrs(pool=False)
+            op.set(pool=False)
             return [
                 solve_one_cluster(aug, cluster_votes, index, options_)
                 for cluster_votes, index, options_ in payloads
@@ -158,14 +158,14 @@ def solve_clusters_parallel(
             # Worker-side spans/metrics live in the worker processes;
             # surface the measured per-cluster times on this span so the
             # parent trace still shows where the wall-clock went.
-            span.set_attrs(
+            op.set(
                 pool=True,
                 cluster_seconds=[round(r.elapsed, 6) for r in results],
             )
         except (OSError, ValueError):
             # Sandboxed environments may forbid subprocesses; degrade
             # gracefully.
-            span.set_attrs(pool=False, pool_unavailable=True)
+            op.set(pool=False, pool_unavailable=True)
             results = [
                 solve_one_cluster(aug, cluster_votes, index, options_)
                 for cluster_votes, index, options_ in payloads

@@ -21,10 +21,13 @@ cluster structure, per-vote outcomes, ...) on top of this contract.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
-from repro.obs import get_registry
+from repro.obs import get_registry, observe
+from repro.obs.operation import Operation, Timer
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
@@ -66,19 +69,25 @@ class OptimizeReport:
         )
 
 
-def record_optimize_run(report: OptimizeReport) -> None:
-    """Registry telemetry for one finished optimization run.
+@contextmanager
+def observe_run(
+    name: str, report: OptimizeReport
+) -> "Iterator[Operation | Timer]":
+    """Observe one driver run as ``name``; ``optimize_run_seconds`` and
+    ``report.elapsed`` get the same reading.
 
-    Called by every driver just before returning — including the early
-    returns where all votes were filtered or nothing was encodable, so
-    ``optimize_runs_total`` counts attempts, not successes.
+    A run that leaves the block, early returns included (all votes
+    filtered, nothing encodable), counts into ``optimize_runs_total``
+    (attempts, not successes) and ``optimize_changed_edges_total``.
     """
     registry = get_registry()
     strategy = report.strategy
+    with observe(
+        name, registry.histogram("optimize_run_seconds", strategy=strategy)
+    ) as op:
+        yield op
+    report.elapsed = op.elapsed
     registry.counter("optimize_runs_total", strategy=strategy).inc()
-    registry.histogram("optimize_run_seconds", strategy=strategy).observe(
-        report.elapsed
-    )
     registry.counter("optimize_changed_edges_total", strategy=strategy).inc(
         len(report.changed_edges)
     )

@@ -16,12 +16,11 @@ faithfully so the comparison can be reproduced.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.errors import SGPModelError, SGPSolverError
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import trace_span
+from repro.obs import observe
 from repro.optimize.apply import apply_edge_weights, solution_edge_weights
 from repro.optimize.encoder import (
     DEFAULT_LOWER,
@@ -30,7 +29,7 @@ from repro.optimize.encoder import (
     encode_votes,
 )
 from repro.optimize.objectives import distance_signomial
-from repro.optimize.report import OptimizeReport, record_optimize_run
+from repro.optimize.report import OptimizeReport, observe_run
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.sgp.solver import SGPSolution, solve_sgp
 from repro.votes.types import Vote, VoteSet
@@ -142,49 +141,48 @@ def solve_single_votes(
     )
     max_length = params.max_length
     restart_prob = params.restart_prob
-    with trace_span("optimize.single_vote") as span:
+    report = SingleVoteReport()
+    with observe_run("optimize.single_vote", report) as op:
         result = aug if in_place else aug.copy()
-        report = SingleVoteReport()
-        start = time.perf_counter()
         negative = [v for v in votes if v.is_negative]
         for index, vote in enumerate(negative):
-            with trace_span(
+            with observe(
                 "optimize.vote", index=index, query=str(vote.query)
-            ) as vote_span:
-                encode_start = time.perf_counter()
+            ) as vote_op:
                 try:
-                    encoded = encode_votes(
-                        result,
-                        [vote],
-                        use_deviations=False,
-                        max_length=max_length,
-                        restart_prob=restart_prob,
-                        margin=margin,
-                        lower=lower,
-                        upper=upper,
-                    )
+                    with observe("optimize.encode", num_votes=1) as encode_op:
+                        encoded = encode_votes(
+                            result,
+                            [vote],
+                            use_deviations=False,
+                            max_length=max_length,
+                            restart_prob=restart_prob,
+                            margin=margin,
+                            lower=lower,
+                            upper=upper,
+                        )
                 except SGPModelError as exc:
-                    vote_span.set_attrs(skipped=str(exc))
+                    vote_op.set(skipped=str(exc))
                     report.outcomes.append(
                         VoteOutcome(vote=vote, solution=None, skipped_reason=str(exc))
                     )
                     continue
                 if not encoded.constraint_votes:
-                    vote_span.set_attrs(skipped="no constraints")
+                    vote_op.set(skipped="no constraints")
                     report.outcomes.append(
                         VoteOutcome(
                             vote=vote, solution=None, skipped_reason="no constraints"
                         )
                     )
                     continue
-                report.encode_time += time.perf_counter() - encode_start
+                report.encode_time += encode_op.elapsed
 
                 initial = encoded.problem.x0[: encoded.num_edge_vars]
                 encoded.problem.set_objective(distance_signomial(initial))
                 try:
                     solution = solve_sgp(encoded.problem, max_iter=max_iter)
                 except SGPSolverError as exc:
-                    vote_span.set_attrs(skipped=str(exc))
+                    vote_op.set(skipped=str(exc))
                     report.outcomes.append(
                         VoteOutcome(vote=vote, solution=None, skipped_reason=str(exc))
                     )
@@ -197,7 +195,7 @@ def solve_single_votes(
                     normalize=normalize,
                 )
                 report.written_edges |= written
-                vote_span.set_attrs(
+                vote_op.set(
                     changed_edges=len(changes),
                     solver_nit=solution.nit,
                     max_residual=solution.max_residual,
@@ -205,12 +203,10 @@ def solve_single_votes(
                 report.outcomes.append(
                     VoteOutcome(vote=vote, solution=solution, changed_edges=changes)
                 )
-        report.elapsed = time.perf_counter() - start
-        span.set_attrs(
+        op.set(
             num_votes=len(negative),
             num_solved=report.num_solved,
             num_skipped=report.num_skipped,
             changed_edges=len(report.changed_edges),
         )
-        record_optimize_run(report)
-        return result, report
+    return result, report

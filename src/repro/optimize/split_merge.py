@@ -15,13 +15,12 @@ votes — and makes the clusters embarrassingly parallel.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.clustering.affinity_propagation import cluster_votes
 from repro.clustering.similarity import vote_edge_sets, vote_similarity_matrix
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import trace_span
+from repro.obs import observe
 from repro.optimize.apply import apply_edge_weights
 from repro.optimize.encoder import DEFAULT_LOWER, DEFAULT_MARGIN, DEFAULT_UPPER
 from repro.optimize.merge import merge_changes, merged_weights
@@ -32,7 +31,7 @@ from repro.optimize.parallel import (
     solve_clusters_parallel,
     solve_one_cluster,
 )
-from repro.optimize.report import OptimizeReport, record_optimize_run
+from repro.optimize.report import OptimizeReport, observe_run
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.votes.types import Vote, VoteSet
 
@@ -147,20 +146,16 @@ def solve_split_merge(
     params = resolve_similarity_params(
         params, max_length=max_length, restart_prob=restart_prob
     )
-    with trace_span("optimize.split_merge") as span:
+    report = SplitMergeReport()
+    with observe_run("optimize.split_merge", report) as op:
         result = aug if in_place else aug.copy()
-        report = SplitMergeReport()
-        start = time.perf_counter()
         vote_list = list(votes)
         if not vote_list:
-            report.elapsed = time.perf_counter() - start
-            span.set_attrs(num_votes=0)
-            record_optimize_run(report)
+            op.set(num_votes=0)
             return result, report
 
         # --- split -------------------------------------------------------
-        split_start = time.perf_counter()
-        with trace_span("optimize.split", num_votes=len(vote_list)) as split_span:
+        with observe("optimize.split", num_votes=len(vote_list)) as split_op:
             edge_sets = vote_edge_sets(
                 result, vote_list, max_length=params.max_length
             )
@@ -168,9 +163,9 @@ def solve_split_merge(
             clusters = cluster_votes(
                 similarity, preference=preference, damping=damping
             )
-            split_span.set_attrs(num_clusters=len(clusters))
+            split_op.set(num_clusters=len(clusters))
         report.clusters = clusters
-        report.split_time = time.perf_counter() - split_start
+        report.split_time = split_op.elapsed
 
         # --- per-cluster solves -------------------------------------------
         options = dict(
@@ -201,8 +196,7 @@ def solve_split_merge(
         report.solve_time_max = max((r.elapsed for r in results), default=0.0)
 
         # --- merge ---------------------------------------------------------
-        merge_start = time.perf_counter()
-        with trace_span("optimize.merge", num_clusters=len(results)) as merge_span:
+        with observe("optimize.merge", num_clusters=len(results)) as merge_op:
             contributing = [
                 (r.deltas, r.total_weight or r.num_votes) for r in results
             ]
@@ -216,14 +210,12 @@ def solve_split_merge(
                 report.changed_edges, report.written_edges = apply_edge_weights(
                     result, new_weights, normalize=normalize
                 )
-            merge_span.set_attrs(changed_edges=len(report.changed_edges))
-        report.merge_time = time.perf_counter() - merge_start
-        report.elapsed = time.perf_counter() - start
-        span.set_attrs(
+            merge_op.set(changed_edges=len(report.changed_edges))
+        report.merge_time = merge_op.elapsed
+        op.set(
             num_votes=len(vote_list),
             num_clusters=report.num_clusters,
             avg_cluster_size=report.average_cluster_size,
             changed_edges=len(report.changed_edges),
         )
-        record_optimize_run(report)
-        return result, report
+    return result, report

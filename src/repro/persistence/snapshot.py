@@ -18,7 +18,6 @@ survive each write.
 from __future__ import annotations
 
 import re
-import time
 from pathlib import Path
 
 from repro.errors import GraphError, PersistenceError
@@ -28,7 +27,7 @@ from repro.graph.persistence import (
     read_augmented_graph_meta,
     save_augmented_graph,
 )
-from repro.obs import MetricsRegistry, get_registry, trace_span
+from repro.obs import MetricsRegistry, get_registry, observe
 
 __all__ = ["SnapshotStore"]
 
@@ -92,15 +91,13 @@ class SnapshotStore:
             raise PersistenceError(
                 f"last_applied_seq must be ≥ 0, got {last_applied_seq}"
             )
-        started = time.perf_counter()
         path = self._directory / f"snapshot-{last_applied_seq:016d}.json"
-        with trace_span("snapshot.write", seq=last_applied_seq):
+        with observe("snapshot.write", self._h_write, seq=last_applied_seq):
             save_augmented_graph(
                 aug, path, meta={"last_applied_seq": last_applied_seq}
             )
-        self._m_writes.inc()
-        self._g_last_seq.set(last_applied_seq)
-        self._h_write.observe(time.perf_counter() - started)
+            self._m_writes.inc()
+            self._g_last_seq.set(last_applied_seq)
         self.prune()
         return path
 

@@ -28,13 +28,12 @@ Crash windows and why each is safe:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import MetricsRegistry, get_registry, trace_span
+from repro.obs import MetricsRegistry, get_registry, observe
 from repro.obs.recorder import active_recorder
 from repro.persistence.snapshot import SnapshotStore
 from repro.persistence.wal import VoteWAL, WalRecord
@@ -169,8 +168,7 @@ class DurableStore:
 
     def recover(self) -> RecoveredState:
         """Load the newest valid snapshot and the WAL tail past it."""
-        started = time.perf_counter()
-        with trace_span("snapshot.recover") as span:
+        with observe("snapshot.recover", self._h_recover) as op:
             latest = self.snapshots.latest()
             if latest is None:
                 aug: "AugmentedGraph | None" = None
@@ -178,25 +176,15 @@ class DurableStore:
             else:
                 aug, snapshot_seq = latest
             tail = tuple(self.wal.records(after_seq=snapshot_seq))
-            if span.recording:
-                span.set_attrs(
-                    snapshot_seq=snapshot_seq,
-                    tail_records=len(tail),
-                    has_snapshot=aug is not None,
-                )
-        self._m_recoveries.inc()
-        if tail:
-            self._m_replayed.inc(len(tail))
-        self._h_recover.observe(time.perf_counter() - started)
-        self._refresh_staleness()
-        rec = active_recorder()
-        if rec is not None:
-            rec.record(
-                "wal.recover",
+            self._m_recoveries.inc()
+            if tail:
+                self._m_replayed.inc(len(tail))
+            op.set(
                 snapshot_seq=snapshot_seq,
                 tail_records=len(tail),
                 has_snapshot=aug is not None,
             )
+        self._refresh_staleness()
         return RecoveredState(aug=aug, snapshot_seq=snapshot_seq, tail=tail)
 
     def close(self) -> None:

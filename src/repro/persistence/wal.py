@@ -42,15 +42,13 @@ import json
 import logging
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import PersistenceError
 from repro.utils.sync import mutator
 from repro.graph.persistence import fsync_directory
-from repro.obs import MetricsRegistry, get_registry
-from repro.obs.recorder import active_recorder
+from repro.obs import MetricsRegistry, get_registry, observe
 from repro.votes.types import Vote
 
 __all__ = ["WalRecord", "VoteWAL", "vote_to_payload", "vote_from_payload"]
@@ -323,24 +321,20 @@ class VoteWAL:
         if links is not None:
             for entity, _weight in links:
                 _check_scalar(entity, "vote query link entity")
-        started = time.perf_counter()
-        with self._wal_lock:
-            if self._file.closed:
-                raise PersistenceError(f"{self._path}: WAL is closed")
-            seq = self._last_seq + 1
-            record = WalRecord(seq=seq, vote=vote, links=links)
-            self._file.write(_record_line(record))
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self._records.append(record)
-            self._last_seq = seq
-        self._m_appends.inc()
-        self._g_last_seq.set(seq)
-        elapsed = time.perf_counter() - started
-        self._h_append.observe(elapsed)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed("wal.append", elapsed, seq=seq)
+        with observe("wal.append", self._h_append) as op:
+            with self._wal_lock:
+                if self._file.closed:
+                    raise PersistenceError(f"{self._path}: WAL is closed")
+                seq = self._last_seq + 1
+                record = WalRecord(seq=seq, vote=vote, links=links)
+                self._file.write(_record_line(record))
+                self._file.flush()
+                os.fsync(self._file.fileno())
+                self._records.append(record)
+                self._last_seq = seq
+            self._m_appends.inc()
+            self._g_last_seq.set(seq)
+            op.set(seq=seq)
         return seq
 
     def rotate(self, *, up_to_seq: int) -> int:

@@ -23,25 +23,19 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Mapping, Sequence
-from time import perf_counter
 
 from repro.errors import CorpusError, EvaluationError, VoteError
 from repro.eval.harness import EvaluationResult, evaluate_test_set
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import WeightedDiGraph
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry, observe
 from repro.obs.recorder import active_recorder
 from repro.optimize.multi_vote import solve_multi_vote
 from repro.optimize.report import OptimizeReport
 from repro.optimize.single_vote import solve_single_votes
 from repro.optimize.split_merge import solve_split_merge
 from repro.qa.entities import EntityVocabulary
-from repro.serving.engine import (
-    DEFAULT_CACHE_SIZE,
-    EngineStats,
-    Patch,
-    SimilarityEngine,
-)
+from repro.serving.engine import DEFAULT_CACHE_SIZE, Patch, SimilarityEngine
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.similarity.top_k import rank_answers, scores_to_ranked_list
 from repro.utils.sync import mutator, serve_path
@@ -168,10 +162,6 @@ class QASystem:
         """The serving engine (``None`` when ``use_engine=False``)."""
         return self._engine
 
-    def serving_stats(self) -> "EngineStats | None":
-        """Engine observability snapshot, or ``None`` without an engine."""
-        return self._engine.stats() if self._engine is not None else None
-
     def _publish(self, apply: "Callable[[], Patch]") -> None:
         """Run ``apply`` as one engine epoch (or plainly, without one)."""
         if self._engine is not None:
@@ -249,8 +239,7 @@ class QASystem:
         """
         if question_id is None:
             question_id = self._next_question_id()
-        started = perf_counter()  # span.duration is 0 when sampled out
-        with trace_span("qa.ask") as span:
+        with observe("qa.ask", self._h_ask) as op:
             self._attach_question(question, question_id)
             ranked = rank_answers(
                 self._aug,
@@ -258,21 +247,9 @@ class QASystem:
                 params=self._params,
                 engine=self._engine,
             )
-            if span.recording:
-                span.set_attrs(
-                    question_id=question_id, num_answers=len(ranked)
-                )
-        self._m_asks.inc()
-        elapsed = perf_counter() - started
-        self._h_ask.observe(elapsed)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "qa.ask",
-                elapsed,
-                question_id=question_id,
-                num_answers=len(ranked),
-            )
+            self._m_asks.inc()
+            if op.recording:
+                op.set(question_id=question_id, num_answers=len(ranked))
         return self._record_shown(question_id, ranked)
 
     @serve_path
@@ -301,8 +278,7 @@ class QASystem:
             ``question_id -> ranked (doc, score) list``, in input order;
             shown lists are recorded for :meth:`vote` like ``ask``'s.
         """
-        started = perf_counter()
-        with trace_span("qa.ask_many") as span:
+        with observe("qa.ask_many", self._h_ask) as op:
             attached: list[str] = []
             for question_id, text in questions.items():
                 try:
@@ -312,10 +288,8 @@ class QASystem:
                         continue
                     raise
                 attached.append(question_id)
-            if span.recording:
-                span.set_attrs(
-                    num_questions=len(questions), num_attached=len(attached)
-                )
+            if op.recording:
+                op.set(num_questions=len(questions), num_attached=len(attached))
             if not attached:
                 return {}
             if self._engine is not None:
@@ -339,17 +313,7 @@ class QASystem:
                 question_id: self._record_shown(question_id, ranked[question_id])
                 for question_id in attached
             }
-        self._m_asks.inc(len(attached))
-        elapsed = perf_counter() - started
-        self._h_ask.observe(elapsed)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "qa.ask_many",
-                elapsed,
-                num_questions=len(questions),
-                num_attached=len(attached),
-            )
+            self._m_asks.inc(len(attached))
         return results
 
     @mutator
@@ -430,17 +394,15 @@ class QASystem:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected {list(_STRATEGIES)}"
             )
-        num_votes = len(self._votes)
-        started = perf_counter()
         options["params"] = resolve_similarity_params(
             options.pop("params", None),
             max_length=options.pop("max_length", None),
             restart_prob=options.pop("restart_prob", None),
             default=self._params,
         )
-        with trace_span(
+        with observe(
             "qa.optimize", strategy=strategy, num_votes=len(self._votes)
-        ) as span:
+        ) as op:
             reports: list[OptimizeReport] = []
 
             def solve() -> Patch:
@@ -454,18 +416,9 @@ class QASystem:
             # post-optimize ask hits a warm cache.
             self._publish(solve)
             (report,) = reports
-            span.set_attrs(
+            op.set(
                 changed_edges=report.num_changed_edges,
                 elapsed=round(report.elapsed, 6),
-            )
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "qa.optimize",
-                perf_counter() - started,
-                strategy=strategy,
-                num_votes=num_votes,
-                changed_edges=report.num_changed_edges,
             )
         if clear_votes:
             self._votes = VoteSet()

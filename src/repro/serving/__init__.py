@@ -11,8 +11,8 @@ This subpackage treats it as a long-lived serving asset instead:
   versioned cached sparse adjacency matrix maintained incrementally
   from the :class:`Patch` each publish announces (in-place weight
   patches, CSR row appends for new documents, zero-cost query
-  attach/detach), a bounded LRU of per-query score vectors, batched
-  serving, and observability counters;
+  attach/detach), a bounded LRU of per-query score vectors, and
+  batched serving, with its counters as ``engine_*`` registry series;
 - :mod:`repro.serving.delta` — :class:`DeltaCorrector`, the exact
   delta-propagation correction that keeps the engine's cached score
   vectors warm across sparse optimizer weight patches instead of
@@ -33,12 +33,7 @@ from repro.serving.delta import (
     DeltaCorrector,
     DeltaFallbackError,
 )
-from repro.serving.engine import (
-    DEFAULT_CACHE_SIZE,
-    EngineStats,
-    Patch,
-    SimilarityEngine,
-)
+from repro.serving.engine import DEFAULT_CACHE_SIZE, Patch, SimilarityEngine
 #: Re-exported lazily (PEP 562): :mod:`repro.serving.worker` imports the
 #: optimize/votes stack, which itself imports :mod:`repro.serving.params`
 #: during package init — an eager import here would be circular.
@@ -67,7 +62,6 @@ __all__ = [
     "resolve_similarity_params",
     "DeltaCorrector",
     "DeltaFallbackError",
-    "EngineStats",
     "Patch",
     "SimilarityEngine",
 ]

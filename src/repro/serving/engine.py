@@ -41,9 +41,12 @@ asset:
   with the changed edges' L-hop neighborhood, not ``|E|``; a patch too
   dense to localize drops the dense entries instead) — and empty after
   a rebuild or with delta revalidation off;
-- :meth:`SimilarityEngine.stats` exposes observability counters (cache
-  hits/misses, patches, row appends, rebuilds avoided, per-stage
-  timings) for serving dashboards and the throughput benchmark.
+- every counter and per-stage latency (cache hits/misses, patches,
+  row appends, rebuilds avoided, builds, propagations, delta passes)
+  is an ``engine_*`` series in the metrics registry, labeled with the
+  engine's ``engine_label``; each timed stage is one
+  :func:`~repro.obs.observe` operation, so the same call feeds its
+  histogram, its span under ``engine.serve``, and the flight recorder.
 
 Batched serving (:meth:`score_batch`) stacks the seed vectors of many
 queries into one dense block and shares the ``L`` sparse matrix
@@ -67,10 +70,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +87,7 @@ from repro.devtools.contracts import (
 from repro.errors import EvaluationError, GraphError, NodeNotFoundError
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
-from repro.obs import MetricsRegistry, get_registry, trace_span
+from repro.obs import MetricsRegistry, get_registry, observe
 from repro.obs.recorder import active_recorder
 from repro.serving.delta import (
     DEFAULT_DELTA_DENSITY_THRESHOLD,
@@ -123,62 +124,6 @@ _Entry = tuple[np.ndarray, "PropagationResult | None"]
 #: The push backend's state for one matrix: the out-edge CSR, the map
 #: from ``matrix.data`` positions into its data array, and ρ.
 _PushState = tuple[sparse.csr_matrix, np.ndarray, float]
-
-
-@dataclass
-class EngineStats:
-    """Point-in-time snapshot of the engine's observability counters.
-
-    Since the :mod:`repro.obs` migration this is a *compatibility view*:
-    the live counts are registry metrics (``engine_*`` series labeled
-    with this engine's id); :meth:`SimilarityEngine.stats` materializes
-    them back into this dataclass so existing dashboards, benchmarks,
-    and tests keep working unchanged.
-    """
-
-    #: Graph version the engine last served against.
-    graph_version: int = 0
-    #: Full matrix (re)builds performed.
-    builds: int = 0
-    #: Serves that found the cached matrix usable (no rebuild needed).
-    rebuilds_avoided: int = 0
-    #: In-place CSR weight patches applied (optimizer updates).
-    weight_patches: int = 0
-    #: CSR rows appended for newly attached answer/document nodes.
-    rows_appended: int = 0
-    #: Score-cache hits / misses.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Current number of cached score vectors.
-    cache_entries: int = 0
-    #: Delta-revalidation passes that kept the cache warm across a
-    #: weight patch, and the cached vectors corrected by them.
-    delta_revalidations: int = 0
-    delta_entries_patched: int = 0
-    #: Patches too dense for delta propagation (cold invalidation).
-    delta_fallbacks: int = 0
-    #: Cached vectors carried verbatim to a new epoch (answer appends
-    #: and zero-delta patches cannot change any cached score).
-    delta_rekeys: int = 0
-    #: Single-query / batched serve calls.
-    serves: int = 0
-    batch_serves: int = 0
-    #: Push-backend serves, local re-pushes after weight patches, and
-    #: cached push entries carried to a new epoch without recomputation
-    #: (touched set provably disjoint from the patched edges).
-    push_serves: int = 0
-    push_repushes: int = 0
-    push_rekeys: int = 0
-    #: Total edges traversed by the push backend across serves and
-    #: re-pushes (the series the sublinearity claim is asserted on).
-    push_edges_touched: float = 0.0
-    #: Cumulative seconds spent (re)building the matrix.
-    build_time: float = 0.0
-    #: Cumulative seconds spent in sparse propagation.
-    propagate_time: float = 0.0
-    #: Cumulative seconds spent delta-revalidating the score cache.
-    delta_time: float = 0.0
-    timings: dict = field(default_factory=dict)
 
 
 class Patch(NamedTuple):
@@ -459,7 +404,6 @@ class SimilarityEngine:
         self._m_push_repushes = counter("engine_push_repushes_total", **label)
         self._m_push_rekeys = counter("engine_push_rekeys_total", **label)
         self._g_cache_entries = self.registry.gauge("engine_cache_entries", **label)
-        self._g_version = self.registry.gauge("engine_graph_version", **label)
         self._h_build = self.registry.histogram("engine_build_seconds", **label)
         self._h_propagate = self.registry.histogram(
             "engine_propagate_seconds", **label
@@ -498,46 +442,6 @@ class SimilarityEngine:
         """The published epoch's number (monotonic; 0 before the first build)."""
         current = self._current
         return current.number if current is not None else 0
-
-    def stats(self) -> EngineStats:
-        """A snapshot of the observability counters.
-
-        Materialized from this engine's registry series — the legacy
-        :class:`EngineStats` view and the registry snapshot agree on
-        every counter by construction.
-        """
-        current = self._current
-        entries = len(current) if current is not None else 0
-        self._g_cache_entries.set(entries)
-        self._g_version.set(self.version)
-        return EngineStats(
-            graph_version=self.version,
-            builds=int(self._m_builds.value),
-            rebuilds_avoided=int(self._m_rebuilds_avoided.value),
-            weight_patches=int(self._m_weight_patches.value),
-            rows_appended=int(self._m_rows_appended.value),
-            cache_hits=int(self._m_cache_hits.value),
-            cache_misses=int(self._m_cache_misses.value),
-            cache_entries=entries,
-            delta_revalidations=int(self._m_delta_revalidations.value),
-            delta_entries_patched=int(self._m_delta_entries.value),
-            delta_fallbacks=int(self._m_delta_fallbacks.value),
-            delta_rekeys=int(self._m_delta_rekeys.value),
-            serves=int(self._m_serves.value),
-            batch_serves=int(self._m_batch_serves.value),
-            push_serves=int(self._m_push_serves.value),
-            push_repushes=int(self._m_push_repushes.value),
-            push_rekeys=int(self._m_push_rekeys.value),
-            push_edges_touched=self._h_push_edges.sum,
-            build_time=self._h_build.sum,
-            propagate_time=self._h_propagate.sum,
-            delta_time=self._h_delta.sum,
-            timings={
-                "build": self._h_build.sum,
-                "propagate": self._h_propagate.sum,
-                "delta": self._h_delta.sum,
-            },
-        )
 
     # ------------------------------------------------------------------
     # writers: announced patches and version checks -> next epoch
@@ -625,11 +529,17 @@ class SimilarityEngine:
         """``current`` with ``patch`` applied: weights patched, rows appended.
 
         ``current`` itself for an empty patch on an unmoved graph; a
-        rebuild when the patch cannot account for the change.
+        rebuild when the patch cannot account for the change.  An answer
+        already in the epoch, or named again in the patch, is skipped:
+        each new answer appends exactly one row.
         """
         version = self._aug.persistent_version
         edges = list(patch.edges)
-        answers = [node for node in patch.answers if node not in current.index]
+        answers = [
+            node
+            for node in dict.fromkeys(patch.answers)
+            if node not in current.index
+        ]
         if not edges and not answers and version == current.version:
             self._m_rebuilds_avoided.inc()
             return current
@@ -686,19 +596,17 @@ class SimilarityEngine:
         before the graph, so a write racing the build can only make the
         epoch look stale, never current.
         """
-        started = time.perf_counter()
-        version = self._aug.persistent_version
-        with trace_span("engine.rebuild") as span:
+        with observe("engine.rebuild", self._h_build) as op:
+            version = self._aug.persistent_version
             is_query = self._aug.is_query
             persistent = (
                 node for node in self._aug.graph.nodes() if not is_query(node)
             )
             index = {node: i for i, node in enumerate(persistent)}
             matrix = self._aug.graph.csr(index)
-            span.set_attrs(nodes=len(index), edges=matrix.nnz)
-        check_finite_csr_data(matrix.data, seam="engine.rebuild")
-        self._m_builds.inc()
-        self._h_build.observe(time.perf_counter() - started)
+            op.set(nodes=len(index), edges=matrix.nnz)
+            check_finite_csr_data(matrix.data, seam="engine.rebuild")
+            self._m_builds.inc()
         answers = tuple(sorted(self._aug.answer_nodes, key=repr))
         return self._new_epoch(number, version, matrix, index, answers)
 
@@ -786,41 +694,40 @@ class SimilarityEngine:
         reason no cached score can change: with delta revalidation on,
         the successor starts from a copy of the predecessor's LRU.
         """
-        started = time.perf_counter()
-        matrix = prev.matrix
-        index = dict(prev.index)
-        data_parts = [matrix.data]
-        index_parts = [matrix.indices]
-        indptr = list(matrix.indptr)
-        offset = len(matrix.data)
-        for answer in answers:
-            links = self._aug.answer_links(answer)
-            # Column-sorted, like every built row: offsets() relies on it.
-            entries = sorted(
-                (index[entity], float(weight))
-                for entity, weight in links.items()
+        with observe("engine.append_rows", self._h_build, answers=len(answers)):
+            matrix = prev.matrix
+            index = dict(prev.index)
+            data_parts = [matrix.data]
+            index_parts = [matrix.indices]
+            indptr = list(matrix.indptr)
+            offset = len(matrix.data)
+            for answer in answers:
+                links = self._aug.answer_links(answer)
+                # Column-sorted, like every built row: offsets() relies on it.
+                entries = sorted(
+                    (index[entity], float(weight))
+                    for entity, weight in links.items()
+                )
+                index[answer] = len(index)
+                offset += len(entries)
+                data_parts.append(
+                    np.asarray([w for _, w in entries], dtype=float)
+                )
+                index_parts.append(
+                    np.asarray([j for j, _ in entries], dtype=np.int32)
+                )
+                indptr.append(offset)
+            n = len(index)
+            appended = sparse.csr_matrix(
+                (
+                    np.concatenate(data_parts),
+                    np.concatenate(index_parts),
+                    np.asarray(indptr, dtype=np.int64),
+                ),
+                shape=(n, n),
             )
-            index[answer] = len(index)
-            offset += len(entries)
-            data_parts.append(
-                np.asarray([w for _, w in entries], dtype=float)
-            )
-            index_parts.append(
-                np.asarray([j for j, _ in entries], dtype=np.int32)
-            )
-            indptr.append(offset)
-        n = len(index)
-        appended = sparse.csr_matrix(
-            (
-                np.concatenate(data_parts),
-                np.concatenate(index_parts),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(n, n),
-        )
-        check_finite_csr_data(appended.data, seam="engine.append_rows")
-        self._m_rows_appended.inc(len(answers))
-        self._h_build.observe(time.perf_counter() - started)
+            check_finite_csr_data(appended.data, seam="engine.append_rows")
+            self._m_rows_appended.inc(len(answers))
         carried = prev.entries() if self._delta_enabled else []
         if carried:
             self._m_delta_rekeys.inc(len(carried))
@@ -900,12 +807,12 @@ class SimilarityEngine:
         dense_ok = True
         if dense_keys:
             max_length = max(key[3] for key in dense_keys)
-            started = time.perf_counter()
-            with trace_span(
+            with observe(
                 "engine.delta",
+                self._h_delta,
                 edges=int(changed.size),
                 entries=len(dense_keys),
-            ) as span:
+            ) as op:
                 try:
                     # A data position's row (the edge's tail) is the
                     # indptr bucket holding it; its column (the head)
@@ -956,12 +863,12 @@ class SimilarityEngine:
                                 seam="engine.delta",
                             )
                         corrected[key] = vector
-                    span.set_attrs(frontier_nnz=corrector.frontier_nnz)
+                    op.set(frontier_nnz=corrector.frontier_nnz)
                 except (DeltaFallbackError, KeyError) as exc:
                     dense_ok = False
                     corrected.clear()
                     self._m_delta_fallbacks.inc()
-                    span.set_attrs(fallback=str(exc) or type(exc).__name__)
+                    op.set(fallback=str(exc) or type(exc).__name__)
                     rec = active_recorder()
                     if rec is not None:
                         detail = str(exc) or type(exc).__name__
@@ -980,7 +887,6 @@ class SimilarityEngine:
                                 f"({detail})"
                             ),
                         )
-            self._h_delta.observe(time.perf_counter() - started)
             if dense_ok:
                 self._m_delta_revalidations.inc()
                 self._m_delta_entries.inc(len(dense_keys))
@@ -1165,15 +1071,16 @@ class SimilarityEngine:
         operation-for-operation from ``t = 1`` on, so the result is
         bitwise equal to a cold recompute on the full graph.
         """
-        started = time.perf_counter()
-        with trace_span(
-            "engine.propagate", batch=1, max_length=params.max_length
+        with observe(
+            "engine.propagate",
+            self._h_propagate,
+            batch=1,
+            max_length=params.max_length,
         ):
             seed_idx, seed_weights = self._seed_arrays(epoch, links)
             result = backend.propagate(
                 epoch.matrix, seed_idx, seed_weights, target_idx, params=params
             )
-        self._h_propagate.observe(time.perf_counter() - started)
         return result.scores
 
     def _propagate_many(
@@ -1185,9 +1092,9 @@ class SimilarityEngine:
         backend,
     ) -> np.ndarray:
         """Stacked propagation: one dense block, ``L`` sparse products."""
-        started = time.perf_counter()
-        with trace_span(
+        with observe(
             "engine.propagate",
+            self._h_propagate,
             batch=len(link_columns),
             max_length=params.max_length,
         ):
@@ -1197,7 +1104,6 @@ class SimilarityEngine:
             result = backend.propagate_batch(
                 epoch.matrix, seed_columns, target_idx, params=params
             )
-        self._h_propagate.observe(time.perf_counter() - started)
         return result.scores
 
     def _push_compute(
@@ -1210,14 +1116,15 @@ class SimilarityEngine:
     ) -> PropagationResult:
         """One local-push evaluation against ``epoch``'s out-CSR.
 
-        Observes the touched-edge histogram (the sublinearity series)
-        and, with contracts armed, checks the pushed vector against a
-        cold dense recompute within the result's own error bound.
+        The ``engine.push`` operation carries the query's cost and
+        accuracy (``edges_touched``, ``error_bound``) as attributes, and
+        both feed their histograms (the sublinearity series).  With
+        contracts armed, the pushed vector is checked against a cold
+        dense recompute within the result's own error bound.
         """
-        started = time.perf_counter()
-        with trace_span(
-            "engine.push", batch=1, max_length=params.max_length
-        ) as span:
+        with observe(
+            "engine.push", self._h_propagate, batch=1, max_length=params.max_length
+        ) as op:
             out_matrix, _, rho = epoch.push_state()
             seed_idx, seed_weights = self._seed_arrays(epoch, links)
             result = backend.propagate(
@@ -1229,11 +1136,11 @@ class SimilarityEngine:
                 out_matrix=out_matrix,
                 rho=rho,
             )
-            span.set_attrs(
-                edges_touched=int(result.edges_touched),
-                error_bound=float(result.error_bound),
-            )
-        self._h_propagate.observe(time.perf_counter() - started)
+            if op.recording:
+                op.set(
+                    edges_touched=int(result.edges_touched),
+                    error_bound=float(result.error_bound),
+                )
         self._h_push_edges.observe(float(result.edges_touched))
         self._h_push_error.observe(float(result.error_bound))
         if contracts_enabled():
@@ -1251,6 +1158,39 @@ class SimilarityEngine:
             )
         return result
 
+    def _miss(
+        self,
+        epoch: _Epoch,
+        links: Mapping[Node, float],
+        target_idx: np.ndarray,
+        params: SimilarityParams,
+        backend: PropagationBackend,
+    ) -> tuple[np.ndarray, "PropagationResult | None"]:
+        """One query's scores on a cache miss, and its push result if any.
+
+        Local push for a backend that reads the out-edge CSR (counting
+        one push serve), the backend's matrix kernel otherwise; a
+        backend with neither cannot serve from an epoch.
+        """
+        self._check_links(epoch, links)
+        if getattr(backend, "uses_out_matrix", False):
+            result = self._push_compute(epoch, links, target_idx, params, backend)
+            self._m_push_serves.inc()
+            return result.scores, result
+        if getattr(backend, "supports_matrix", False):
+            return self._propagate_one(epoch, links, target_idx, params, backend), None
+        raise EvaluationError(
+            f"backend {params.backend!r} has no matrix-level kernel; use the "
+            f"graph-level API (repro.similarity.backend.get_backend("
+            f"{params.backend!r}).scores(...) or .scores_batch(...)) instead"
+        )
+
+    @staticmethod
+    def _check_links(epoch: _Epoch, links: Mapping[Node, float]) -> None:
+        for entity in links:
+            if entity not in epoch.index:
+                raise NodeNotFoundError(entity)
+
     def _serve(
         self,
         links: Mapping[Node, float],
@@ -1260,53 +1200,37 @@ class SimilarityEngine:
         """One serve: its targets and their frozen score vector.
 
         ``targets`` defaults to the serving epoch's answers.  Counts one
-        serve and one cache hit or miss.
+        serve and one cache hit or miss.  The ``engine.serve`` operation
+        carries the backend, cache outcome and epoch, plus a push miss's
+        own cost and accuracy.
         """
-        backend = resolve_backend(params)
-        self._m_serves.inc()
-        epoch = self._serving_epoch()
-        target_list = self._resolve_targets(epoch, targets)
-        # Flight-recorder attribution: one event per serve with the
-        # backend, cache outcome, epoch, and (for push) the query's own
-        # cost/accuracy numbers.  Disarmed cost: one load + comparison.
-        rec = active_recorder()
-        started = time.perf_counter() if rec is not None else 0.0
-        key = self._cache_key(links, target_list, params)
-        vector = self._cache_get(epoch, key)
-        hit = vector is not None
-        result: "PropagationResult | None" = None
-        if vector is None:
-            missing = [e for e in links if e not in epoch.index]
-            if missing:
-                raise NodeNotFoundError(missing[0])
-            target_idx = self._target_indices(epoch, target_list)
-            if getattr(backend, "uses_out_matrix", False):
-                result = self._push_compute(epoch, links, target_idx, params, backend)
-                self._m_push_serves.inc()
-                vector = result.scores
-            elif getattr(backend, "supports_matrix", False):
-                vector = self._propagate_one(
+        with observe("engine.serve") as op:
+            backend = resolve_backend(params)
+            self._m_serves.inc()
+            epoch = self._serving_epoch()
+            target_list = self._resolve_targets(epoch, targets)
+            key = self._cache_key(links, target_list, params)
+            vector = self._cache_get(epoch, key)
+            hit = vector is not None
+            result: "PropagationResult | None" = None
+            if vector is None:
+                target_idx = self._target_indices(epoch, target_list)
+                vector, result = self._miss(
                     epoch, links, target_idx, params, backend
                 )
-            else:
-                raise EvaluationError(
-                    f"backend {params.backend!r} has no matrix-level kernel; "
-                    f"use the graph-level API (repro.similarity.backend."
-                    f"get_backend({params.backend!r}).scores(...)) instead"
+                self._cache_put(epoch, key, vector, result)
+            if op.recording:
+                op.set(
+                    engine=self.engine_label,
+                    backend=params.backend,
+                    cache="hit" if hit else "miss",
+                    epoch=epoch.number,
                 )
-            self._cache_put(epoch, key, vector, result)
-        if rec is not None:
-            elapsed = time.perf_counter() - started
-            attrs = {
-                "engine": self.engine_label,
-                "backend": params.backend,
-                "cache": "hit" if hit else "miss",
-                "epoch": epoch.number,
-            }
-            if result is not None:
-                attrs["edges_touched"] = int(result.edges_touched)
-                attrs["error_bound"] = float(result.error_bound)
-            rec.record_timed("engine.serve", elapsed, **attrs)
+                if result is not None:
+                    op.set(
+                        edges_touched=int(result.edges_touched),
+                        error_bound=float(result.error_bound),
+                    )
         return target_list, vector
 
     @serve_path
@@ -1358,84 +1282,60 @@ class SimilarityEngine:
         query_list = list(queries)
         if not query_list:
             return {}
-        self._m_batch_serves.inc()
-        epoch = self._serving_epoch()
-        target_list = self._resolve_targets(epoch, targets)
-        rec = active_recorder()
-        started = time.perf_counter() if rec is not None else 0.0
-        links_by_query = {q: self._seed_links(q) for q in query_list}
-        results: dict[Node, dict[Node, float]] = {}
-        pending: list[Node] = []
-        keys: dict[Node, tuple] = {}
-        for query in query_list:
-            key = self._cache_key(links_by_query[query], target_list, params)
-            keys[query] = key
-            cached = self._cache_get(epoch, key)
-            if cached is not None:
-                results[query] = dict(zip(target_list, cached.tolist()))
-            else:
-                pending.append(query)
-        if pending:
-            for query in pending:
-                missing = [
-                    e for e in links_by_query[query] if e not in epoch.index
-                ]
-                if missing:
-                    raise NodeNotFoundError(missing[0])
-            target_idx = self._target_indices(epoch, target_list)
-            if getattr(backend, "uses_out_matrix", False):
-                # Push localizes per query; there is no shared dense
-                # block to stack, so batch = a loop of local pushes.
-                for query in pending:
-                    push_result = self._push_compute(
-                        epoch, links_by_query[query], target_idx, params, backend
-                    )
-                    self._m_push_serves.inc()
-                    self._cache_put(
-                        epoch, keys[query], push_result.scores, push_result
-                    )
-                    results[query] = dict(
-                        zip(target_list, push_result.scores.tolist())
-                    )
-            elif getattr(backend, "supports_matrix", False) and hasattr(
-                backend, "propagate_batch"
-            ):
-                block = self._propagate_many(
-                    epoch,
-                    [links_by_query[q] for q in pending],
-                    target_idx,
-                    params,
-                    backend,
+        with observe("engine.serve_batch") as op:
+            self._m_batch_serves.inc()
+            epoch = self._serving_epoch()
+            target_list = self._resolve_targets(epoch, targets)
+            links_by_query = {q: self._seed_links(q) for q in query_list}
+            vectors: dict[Node, np.ndarray] = {}
+            pending: list[Node] = []
+            keys: dict[Node, tuple] = {}
+            for query in query_list:
+                key = keys[query] = self._cache_key(
+                    links_by_query[query], target_list, params
                 )
-                for column, query in enumerate(pending):
-                    vector = block[:, column].copy()
-                    self._cache_put(epoch, keys[query], vector)
-                    results[query] = dict(zip(target_list, vector.tolist()))
-            elif getattr(backend, "supports_matrix", False):
-                for query in pending:
-                    vector = self._propagate_one(
-                        epoch, links_by_query[query], target_idx, params, backend
+                cached = self._cache_get(epoch, key)
+                if cached is not None:
+                    vectors[query] = cached
+                else:
+                    pending.append(query)
+            if pending:
+                target_idx = self._target_indices(epoch, target_list)
+                if (
+                    not getattr(backend, "uses_out_matrix", False)
+                    and getattr(backend, "supports_matrix", False)
+                    and hasattr(backend, "propagate_batch")
+                ):
+                    # Dense misses share one stacked block.  Push
+                    # localizes per query, so it has no block to stack.
+                    for query in pending:
+                        self._check_links(epoch, links_by_query[query])
+                    block = self._propagate_many(
+                        epoch,
+                        [links_by_query[q] for q in pending],
+                        target_idx,
+                        params,
+                        backend,
                     )
-                    self._cache_put(epoch, keys[query], vector)
-                    results[query] = dict(zip(target_list, vector.tolist()))
-            else:
-                raise EvaluationError(
-                    f"backend {params.backend!r} has no matrix-level "
-                    f"kernel; use the graph-level API (repro.similarity."
-                    f"backend.get_backend({params.backend!r})"
-                    f".scores_batch(...)) instead"
+                    for column, query in enumerate(pending):
+                        vector = vectors[query] = block[:, column].copy()
+                        self._cache_put(epoch, keys[query], vector)
+                else:
+                    for query in pending:
+                        vector, result = self._miss(
+                            epoch, links_by_query[query], target_idx, params, backend
+                        )
+                        vectors[query] = vector
+                        self._cache_put(epoch, keys[query], vector, result)
+            if op.recording:
+                op.set(
+                    engine=self.engine_label,
+                    backend=params.backend,
+                    queries=len(query_list),
+                    cache_hits=len(query_list) - len(pending),
+                    epoch=epoch.number,
                 )
-        if rec is not None:
-            rec.record_timed(
-                "engine.serve_batch",
-                time.perf_counter() - started,
-                engine=self.engine_label,
-                backend=params.backend,
-                queries=len(query_list),
-                cache_hits=len(query_list) - len(pending),
-                epoch=epoch.number,
-            )
-        return {q: results[q] for q in query_list}
+        return {q: dict(zip(target_list, vectors[q].tolist())) for q in query_list}
 
     @serve_path
     def top_k(

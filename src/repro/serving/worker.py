@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING
 from repro.devtools.contracts import check_same_csr, contracts_enabled
 from repro.errors import SGPSolverError, VoteError, WorkerError
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import MetricsRegistry, get_registry, trace_span
+from repro.obs import MetricsRegistry, get_registry, observe
 from repro.obs.recorder import active_recorder
 from repro.optimize.online import BatchOutcome, OnlineOptimizer
 from repro.persistence import DurableStore
@@ -545,8 +545,7 @@ class OptimizerWorker:
             if (weight := shadow.kg_weight(head, tail))
             != live.kg_weight(head, tail)
         ]
-        started = time.perf_counter()
-        with trace_span("optimize.publish") as span:
+        with observe("optimize.publish", self._h_publish) as op:
 
             def apply() -> Patch:
                 for head, tail, weight in patch:
@@ -567,14 +566,15 @@ class OptimizerWorker:
             else:
                 apply()
                 epoch = None
-            if span.recording:
-                span.set_attrs(
+            if op.recording:
+                op.set(
                     batch_index=outcome.batch_index,
                     edges=len(patch),
                     epoch=epoch,
+                    num_votes=outcome.num_votes,
+                    changed_edges=outcome.changed_edges,
+                    last_seq=outcome.last_seq,
                 )
-        elapsed = time.perf_counter() - started
-        self._h_publish.observe(elapsed)
         self._m_epochs.inc()
         # Snapshot the *shadow*: its KG weights now equal the live
         # graph's, and the queries it lacks (transient serve-time
@@ -582,17 +582,6 @@ class OptimizerWorker:
         # checkpoint never has to touch the live graph.
         if self._store is not None and outcome.last_seq is not None:
             self._store.checkpoint(shadow, outcome.last_seq)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "optimize.publish",
-                elapsed,
-                batch_index=outcome.batch_index,
-                num_votes=outcome.num_votes,
-                changed_edges=outcome.changed_edges,
-                epoch=epoch,
-                last_seq=outcome.last_seq,
-            )
 
     def _refresh_lag(self) -> None:
         depth = len(self.queue)

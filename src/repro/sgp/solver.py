@@ -29,7 +29,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.devtools.contracts import check_weight_bounds
-from repro.obs import get_registry, trace_span
+from repro.obs import MetricsRegistry, get_registry, observe
 from repro.sgp import process
 from repro.sgp.problem import SGPProblem
 
@@ -240,8 +240,11 @@ def solve_sgp(
     The numerical part (:func:`run_solve`) runs in the solver process
     installed on the calling thread, if there is one (an optimizer
     worker's thread, see :mod:`repro.sgp.process`), and in this process
-    otherwise.  Compilation, the ``sgp.solve`` span and the solver
-    metrics stay in this process either way.
+    otherwise.  Compilation, the ``sgp.solve`` operation and the solver
+    metrics stay in this process either way: ``sgp_solve_seconds``
+    observes the caller's wait (with a solver process, that includes
+    the pipe round trip), while the solution's ``elapsed`` is the
+    solver's own time.
 
     Raises
     ------
@@ -252,25 +255,27 @@ def solve_sgp(
     """
     problem.compile()
     problem.objective  # raises early when unset
-    with trace_span(
+    registry = get_registry()
+    with observe(
         "sgp.solve",
+        registry.histogram("sgp_solve_seconds"),
         num_vars=problem.num_vars,
         num_constraints=problem.num_constraints,
-    ) as span:
+    ) as op:
         options: dict[str, Any] = {"max_iter": max_iter, "tol": tol}
         child = process.current()
         if child is None:
             solution = run_solve(problem, **options)
         else:
             solution = child.solve(problem, options)
-        span.set_attrs(
+        op.set(
             resolved_method=solution.method,
             nit=solution.nit,
             num_satisfied=solution.num_satisfied,
             max_residual=solution.max_residual,
             success=solution.success,
         )
-    _record_solve_metrics(solution)
+    _record_solve_metrics(registry, solution)
     return solution
 
 
@@ -293,11 +298,9 @@ def run_solve(problem: SGPProblem, *, max_iter: int, tol: float) -> SGPSolution:
     return solution
 
 
-def _record_solve_metrics(solution: SGPSolution) -> None:
-    """Registry telemetry for one finished solve."""
-    registry = get_registry()
+def _record_solve_metrics(registry: MetricsRegistry, solution: SGPSolution) -> None:
+    """Registry counters for one finished solve."""
     registry.counter("sgp_solves_total", method=solution.method).inc()
-    registry.histogram("sgp_solve_seconds").observe(solution.elapsed)
     registry.counter("sgp_iterations_total").inc(max(solution.nit, 0))
     if "+penalty" in solution.method:
         registry.counter("sgp_fallbacks_total").inc()

@@ -1,7 +1,6 @@
-"""Small shared utilities: RNG handling, timers, text tables, validation."""
+"""Small shared utilities: RNG handling, text tables, validation."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.tables import format_table
 from repro.utils.validation import (
     check_fraction,
@@ -12,8 +11,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "timed",
     "format_table",
     "check_fraction",
     "check_positive",

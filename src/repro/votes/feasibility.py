@@ -27,7 +27,7 @@ as free would accept votes the SGP still cannot satisfy.
 
 from __future__ import annotations
 
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry
 from repro.graph.augmented import AugmentedGraph
 from repro.paths.edgesets import reachable_edge_set
 from repro.serving.params import SimilarityParams
@@ -112,19 +112,17 @@ def filter_feasible(
     """
     kept = VoteSet()
     discarded: list[Vote] = []
-    with trace_span("votes.feasibility_filter", num_votes=len(votes)) as span:
-        for vote in votes:
-            if is_vote_feasible(
-                aug,
-                vote,
-                max_length=max_length,
-                restart_prob=restart_prob,
-                shared_weight=shared_weight,
-            ):
-                kept.add(vote)
-            else:
-                discarded.append(vote)
-        span.set_attrs(kept=len(kept), discarded=len(discarded))
+    for vote in votes:
+        if is_vote_feasible(
+            aug,
+            vote,
+            max_length=max_length,
+            restart_prob=restart_prob,
+            shared_weight=shared_weight,
+        ):
+            kept.add(vote)
+        else:
+            discarded.append(vote)
     registry = get_registry()
     registry.counter("votes_feasible_total").inc(len(kept))
     registry.counter("votes_infeasible_total").inc(len(discarded))

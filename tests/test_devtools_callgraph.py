@@ -214,6 +214,57 @@ class TestToJson:
         json.dumps(payload)  # must not raise
 
 
+class TestWithStatements:
+    def test_with_links_enter_and_exit_of_the_returned_context(self, tmp_path):
+        root = tmp_path / "ctx"
+        root.mkdir()
+        (root / "__init__.py").write_text("")
+        (root / "ops.py").write_text(
+            textwrap.dedent(
+                """
+                import os
+
+
+                class Quiet:
+                    def __enter__(self):
+                        return self
+
+                    def __exit__(self, *exc):
+                        return False
+
+
+                class Loud:
+                    def __exit__(self, *exc):
+                        return False
+
+
+                class Louder(Loud):
+                    def __exit__(self, *exc):
+                        os.fsync(0)
+
+
+                def op(name) -> "Quiet | Loud":
+                    return Quiet() if name else Loud()
+
+
+                def serve():
+                    with op("x"):
+                        pass
+                """
+            )
+        )
+        graph = build_call_graph([root])
+        targets = {(s.target, s.via) for s in graph.callees("ctx.ops.serve")}
+        assert ("ctx.ops.Quiet.__enter__", "with") in targets
+        assert ("ctx.ops.Quiet.__exit__", "with") in targets
+        assert ("ctx.ops.Loud.__exit__", "with") in targets
+        # A subclass of an annotated class may be what the call returns.
+        assert ("ctx.ops.Louder.__exit__", "with") in targets
+        reach = graph.reachable(["ctx.ops.serve"])
+        externals = {site.target for _, site in graph.external_calls(reach)}
+        assert "ext:os.fsync" in externals
+
+
 class TestRealTree:
     def test_src_builds_and_finds_serve_roots(self):
         graph = build_call_graph(["src"])
@@ -230,3 +281,10 @@ class TestRealTree:
         assert "ext:os.replace" not in externals
         # The optimizer worker's solver process is spawned off the ask path.
         assert not any(t.startswith("ext:subprocess.") for t in externals)
+
+    def test_ask_proof_covers_the_observed_exit_path(self):
+        graph = build_call_graph(["src"])
+        reach = graph.reachable(["repro.qa.system.QASystem.ask"])
+        assert "repro.obs.operation.Operation.__exit__" in reach.functions
+        assert "repro.obs.recorder.FlightRecorder.append_event" in reach.functions
+        assert "repro.obs.recorder.FlightRecorder.trigger" in reach.barriers

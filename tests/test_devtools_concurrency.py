@@ -435,6 +435,33 @@ class TestSelfCheck:
             v.rule == "R010" and "fsync" in v.message for v in violations
         ), violations
 
+    @pytest.mark.parametrize(
+        "marker",
+        [
+            "        end = perf_counter()\n",  # Operation.__exit__
+            "        _local.stack.pop()\n",  # a sampled-out root's exit
+        ],
+    )
+    def test_injected_fsync_in_the_observed_exit_is_caught(self, tmp_path, marker):
+        # Every timed serve-path operation leaves through observe's exit:
+        # R010 must see a blocking call there too.
+        target = tmp_path / "repro"
+        shutil.copytree("src/repro", target)
+        operation = target / "obs" / "operation.py"
+        source = operation.read_text()
+        assert source.count(marker) == 1
+        operation.write_text(
+            source.replace(
+                marker, marker + "        import os as _os\n        _os.fsync(0)\n", 1
+            )
+        )
+        violations = find_concurrency_violations(
+            [tmp_path], rules={"R010"}
+        )
+        assert any(
+            v.rule == "R010" and "fsync" in v.message for v in violations
+        ), violations
+
 
 # ----------------------------------------------------------------------
 # CLI integration

@@ -71,6 +71,17 @@ class TestR002:
         # Only literal first arguments are checkable statically.
         assert rules_of("registry.counter(name).inc()\n") == []
 
+    def test_unknown_observed_operation_fires(self):
+        assert rules_of("with observe('ghost.op'):\n    pass\n") == ["R002"]
+
+    def test_known_observed_operation_clean(self):
+        assert rules_of("with observe('qa.ask', histogram):\n    pass\n") == []
+
+    def test_unknown_driver_run_fires(self):
+        assert rules_of(
+            "with observe_run('optimize.ghost', report):\n    pass\n"
+        ) == ["R002"]
+
 
 # ----------------------------------------------------------------------
 # R003: print in library code
@@ -213,15 +224,6 @@ class TestR005:
         assert rules_of(
             "import time\n\ndef f():\n    return time.perf_counter()\n"
         ) == []
-
-    def test_timing_module_is_exempt(self):
-        assert (
-            rules_of(
-                "import time\n\ndef f():\n    return time.time()\n",
-                path="src/repro/utils/timing.py",
-            )
-            == []
-        )
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +469,29 @@ class TestR007:
             metrics=["qa_asks_total", "engine_cache_entries", "qa_ask_seconds"],
             spans=["qa.ask"],
         ) == []
+
+    def test_span_emitted_only_through_observe_is_not_dead(self, tmp_path):
+        from repro.devtools.lint import find_dead_series
+
+        paths = self._tree(
+            tmp_path,
+            '''
+            with observe("engine.serve") as op:
+                op.set(cache="hit")
+            with observe_run("optimize.multi_vote", report):
+                pass
+            ''',
+        )
+        assert find_dead_series(
+            paths,
+            metrics=[],
+            spans=["engine.serve", "optimize.multi_vote"],
+        ) == []
+        violations = find_dead_series(
+            paths, metrics=[], spans=["engine.serve", "engine.serve_batch"]
+        )
+        assert [v.rule for v in violations] == ["R007"]
+        assert "engine.serve_batch" in violations[0].message
 
     def test_local_alias_idiom_counts_as_emitted(self, tmp_path):
         from repro.devtools.lint import collect_emitted_names

@@ -27,6 +27,7 @@ from repro.obs.diag import (
 )
 from repro.obs.recorder import arm_recorder, disarm_recorder
 from repro.serving import Patch, SimilarityEngine, SimilarityParams
+from tests.engine_series import engine_series
 
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
@@ -180,7 +181,7 @@ class TestEndToEndAcceptance:
 
         engine.publish(reweight)
         engine.scores_for_query("q0", targets)
-        assert engine.stats().delta_fallbacks == 1
+        assert engine_series(engine)["engine_delta_fallbacks_total"] == 1
 
         with pytest.raises(ContractViolation):
             check_weight_bounds(np.array([9.0]), 0.1, 1.0, seam="e2e-test")
@@ -223,7 +224,7 @@ class TestEndToEndAcceptance:
         assert serves, "serve seam must record when armed"
         (serve,) = serves
         assert serve.attrs["cache"] == "miss"
-        assert "latency" in serve.attrs
+        assert serve.latency is not None
         assert serve.attrs["backend"] == str(engine.params.backend)
 
     @pytest.mark.parametrize("backend", ["dense", "push"])
@@ -238,7 +239,11 @@ class TestEndToEndAcceptance:
         engine.top_k("q0")  # miss
         engine.top_k("q0")  # hit
         rec = disarm_recorder()
-        miss, hit = [e.attrs for e in rec.events() if e.kind == "engine.serve"]
+        miss, hit = [
+            {k: v for k, v in e.to_dict().items() if k not in ("kind", "t")}
+            for e in rec.events()
+            if e.kind == "engine.serve"
+        ]
         common = {"latency", "engine", "backend", "cache", "epoch"}
         cost = {"edges_touched", "error_bound"} if backend == "push" else set()
         assert set(miss) == common | cost

@@ -1,21 +1,22 @@
 """Tests for the flight recorder (repro/obs/recorder.py).
 
 Covers the ring-buffer cost model (bounded, drop-counted), the trigger
-seams (slow ops, contract violations), dump rate limiting, and the
-bundle format — every file a post-mortem needs, parseable without the
-live process.
+seams (slow observed operations, contract violations), dump rate
+limiting, and the bundle format — every file a post-mortem needs,
+parseable without the live process.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from repro.devtools.contracts import ContractViolation, check_weight_bounds
-from repro.obs import MetricsRegistry, trace_span
+from repro.obs import MetricsRegistry, observe, trace_span
 from repro.obs.recorder import (
     BUNDLE_FILES,
     BUNDLE_SCHEMA_VERSION,
@@ -47,6 +48,12 @@ def make_recorder(tmp_path, registry, **kwargs):
     return FlightRecorder(tmp_path / "flight", registry=registry, **kwargs)
 
 
+def arm(tmp_path, registry, **kwargs):
+    """Arm a process-wide recorder, the one ``observe`` appends to."""
+    kwargs.setdefault("min_dump_interval", 0.0)
+    return arm_recorder(tmp_path / "flight", registry=registry, **kwargs)
+
+
 class TestRing:
     def test_bounded_with_drop_accounting(self, tmp_path, registry):
         rec = make_recorder(tmp_path, registry, capacity=3)
@@ -72,30 +79,36 @@ class TestRing:
 
 
 class TestTimedAndTriggers:
-    def test_record_timed_attaches_latency(self, tmp_path, registry):
-        rec = make_recorder(tmp_path, registry)
-        rec.record_timed("qa.ask", 0.012, question_id="q1")
+    def test_record_timed_attaches_latency(self, tmp_path, registry, disarmed):
+        """An observed operation's event carries its latency."""
+        rec = arm(tmp_path, registry)
+        with observe("qa.ask", question_id="q1") as op:
+            time.sleep(0.002)
         (event,) = rec.events()
-        assert event.attrs["latency"] == pytest.approx(0.012)
+        assert event.kind == "qa.ask"
+        assert event.latency == op.elapsed >= 0.002
+        assert event.attrs == {"question_id": "q1"}
+        assert event.to_dict()["latency"] == round(op.elapsed, 6)
 
-    def test_slow_op_triggers_dump(self, tmp_path, registry):
-        rec = make_recorder(
-            tmp_path, registry, slow_thresholds={"qa.ask": 0.001}
-        )
-        rec.record_timed("qa.ask", 0.5)
+    def test_slow_op_triggers_dump(self, tmp_path, registry, disarmed):
+        arm(tmp_path, registry, slow_thresholds={"qa.ask": 0.001})
+        with observe("qa.ask"):
+            time.sleep(0.01)
         bundles = list((tmp_path / "flight").glob("flight-*-slow_op"))
         assert len(bundles) == 1
 
-    def test_fast_op_does_not_trigger(self, tmp_path, registry):
-        rec = make_recorder(
-            tmp_path, registry, slow_thresholds={"qa.ask": 1.0}
-        )
-        rec.record_timed("qa.ask", 0.01)
+    def test_fast_op_does_not_trigger(self, tmp_path, registry, disarmed):
+        arm(tmp_path, registry, slow_thresholds={"qa.ask": 1.0})
+        with observe("qa.ask"):
+            pass
         assert not (tmp_path / "flight").exists()
 
-    def test_unthresholded_kind_never_self_triggers(self, tmp_path, registry):
-        rec = make_recorder(tmp_path, registry, slow_thresholds={})
-        rec.record_timed("qa.ask", 1e6)
+    def test_unthresholded_kind_never_self_triggers(
+        self, tmp_path, registry, disarmed
+    ):
+        arm(tmp_path, registry, slow_thresholds={})
+        with observe("qa.ask"):
+            time.sleep(0.01)
         assert not (tmp_path / "flight").exists()
 
     def test_rate_limit_suppresses_back_to_back_dumps(self, tmp_path, registry):
@@ -133,11 +146,12 @@ class TestTimedAndTriggers:
 
 
 class TestBundleFormat:
-    def test_bundle_is_complete_and_parseable(self, tmp_path, registry):
+    def test_bundle_is_complete_and_parseable(self, tmp_path, registry, disarmed):
         registry.counter("qa_asks_total").inc(3)
-        rec = make_recorder(tmp_path, registry)
+        rec = arm(tmp_path, registry)
         rec.record("qa.ask", question_id="q0")
-        rec.record_timed("engine.serve", 0.004, cache="hit")
+        with observe("engine.serve", cache="hit"):
+            time.sleep(0.004)
         with trace_span("qa.ask"):
             pass
         bundle = rec.dump(reason="manual", detail="test dump")
@@ -156,7 +170,9 @@ class TestBundleFormat:
             for line in (bundle / "events.jsonl").read_text().splitlines()
         ]
         assert [e["kind"] for e in events] == ["qa.ask", "engine.serve"]
-        assert events[1]["latency"] == pytest.approx(0.004)
+        assert "latency" not in events[0]
+        assert events[1]["latency"] >= 0.004
+        assert events[1]["cache"] == "hit"
 
         metrics = json.loads((bundle / "metrics.json").read_text())
         assert metrics["qa_asks_total"] == 3

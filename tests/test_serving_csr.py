@@ -15,6 +15,7 @@ from scipy import sparse
 
 from repro.graph import AugmentedGraph, WeightedDiGraph
 from repro.serving import Patch, SimilarityEngine
+from tests.engine_series import engine_series
 
 
 def reference_engine_csr(aug):
@@ -135,7 +136,7 @@ class TestEngineCsrDifferential:
         engine = SimilarityEngine(aug)
         try:
             assert_engine_matches_reference(engine, aug)
-            builds = engine.stats().builds
+            builds = engine_series(engine)["engine_builds_total"]
             # Answers attached after the build append rows in place.
 
             def attach():
@@ -151,7 +152,7 @@ class TestEngineCsrDifferential:
             for i, links in enumerate(scenario["late_queries"]):
                 aug.add_query(f"lq{i}", {f"e{e}": c for e, c in links.items()})
             assert_engine_matches_reference(engine, aug)
-            assert engine.stats().builds == builds
+            assert engine_series(engine)["engine_builds_total"] == builds
             # Patched weights keep the layout; every offset still lines up.
             kg_edges = sorted(edge.key for edge in aug.kg_edges())
 
@@ -162,13 +163,13 @@ class TestEngineCsrDifferential:
 
             engine.publish(halve)
             assert_engine_matches_reference(engine, aug)
-            assert engine.stats().builds == builds
+            assert engine_series(engine)["engine_builds_total"] == builds
             # Removing an entity edge moves the version: a full rebuild.
             if kg_edges:
                 head, tail = kg_edges[scenario["drop"] % len(kg_edges)]
                 aug.graph.remove_edge(head, tail)
                 assert_engine_matches_reference(engine, aug)
-                assert engine.stats().builds == builds + 1
+                assert engine_series(engine)["engine_builds_total"] == builds + 1
         finally:
             engine.close()
 
@@ -196,9 +197,9 @@ class TestOffsetsLongRow:
 
             engine.publish(reweight)
             assert_engine_matches_reference(engine, aug)
-            stats = engine.stats()
-            assert stats.builds == 1
-            assert stats.weight_patches == 100
+            stats = engine_series(engine)
+            assert stats["engine_builds_total"] == 1
+            assert stats["engine_weight_patches_total"] == 100
         finally:
             engine.close()
 

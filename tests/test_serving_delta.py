@@ -28,6 +28,7 @@ from repro.serving import (
     SimilarityParams,
 )
 from repro.similarity.inverse_pdistance import inverse_pdistance
+from tests.engine_series import engine_series
 
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
@@ -103,16 +104,17 @@ class TestDeltaRevalidation:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        hits_before = engine.stats().cache_hits
+        hits_before = engine_series(engine)["engine_cache_hits_total"]
 
         patch_edges(engine, aug, kg_edges_sorted(aug)[:4])
         served = engine.scores_for_query("q0", targets)
 
-        stats = engine.stats()
-        assert stats.cache_hits == hits_before + 1  # warm, not recomputed
-        assert stats.delta_revalidations == 1
-        assert stats.delta_entries_patched == 1
-        assert stats.delta_fallbacks == 0
+        stats = engine_series(engine)
+        # Warm, not recomputed.
+        assert stats["engine_cache_hits_total"] == hits_before + 1
+        assert stats["engine_delta_revalidations_total"] == 1
+        assert stats["engine_delta_entries_patched_total"] == 1
+        assert stats["engine_delta_fallbacks_total"] == 0
         assert_matches_cold(served, aug, "q0", targets)
 
     def test_all_cached_entries_revalidated(self):
@@ -128,10 +130,10 @@ class TestDeltaRevalidation:
             served = engine.scores_for_query(query, targets)
             assert_matches_cold(served, aug, query, targets)
 
-        stats = engine.stats()
-        assert stats.delta_revalidations == 1
-        assert stats.delta_entries_patched == len(queries)
-        assert stats.cache_misses == len(queries)  # only the cold fills
+        stats = engine_series(engine)
+        assert stats["engine_delta_revalidations_total"] == 1
+        assert stats["engine_delta_entries_patched_total"] == len(queries)
+        assert stats["engine_cache_misses_total"] == len(queries)  # only the cold fills
 
     def test_repeated_patch_serve_cycles_stay_correct(self):
         aug, _ = build_aug(seed=9)
@@ -144,9 +146,9 @@ class TestDeltaRevalidation:
             patch_edges(engine, aug, chunk, scale=0.7 + 0.05 * round_index)
             served = engine.scores_for_query("q1", targets)
             assert_matches_cold(served, aug, "q1", targets)
-        stats = engine.stats()
-        assert stats.delta_revalidations == 5
-        assert stats.cache_misses == 1
+        stats = engine_series(engine)
+        assert stats["engine_delta_revalidations_total"] == 5
+        assert stats["engine_cache_misses_total"] == 1
 
     def test_batch_serve_hits_after_patch(self):
         aug, _ = build_aug()
@@ -154,12 +156,12 @@ class TestDeltaRevalidation:
         targets = sorted(aug.answer_nodes, key=repr)
         queries = sorted(aug.query_nodes, key=repr)
         engine.score_batch(queries, targets)
-        misses_before = engine.stats().cache_misses
+        misses_before = engine_series(engine)["engine_cache_misses_total"]
 
         patch_edges(engine, aug, kg_edges_sorted(aug)[:3])
         batch = engine.score_batch(queries, targets)
 
-        assert engine.stats().cache_misses == misses_before
+        assert engine_series(engine)["engine_cache_misses_total"] == misses_before
         for query in queries:
             assert_matches_cold(batch[query], aug, query, targets)
 
@@ -171,10 +173,10 @@ class TestDeltaRevalidation:
         edge = kg_edges_sorted(aug)[0]
         patch_edges(engine, aug, [edge], scale=1.0)  # same value
         after = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 1
-        assert stats.delta_rekeys == 1
-        assert stats.delta_revalidations == 0
+        stats = engine_series(engine)
+        assert stats["engine_cache_hits_total"] == 1
+        assert stats["engine_delta_rekeys_total"] == 1
+        assert stats["engine_delta_revalidations_total"] == 0
         assert after == before  # carried verbatim, bitwise
 
     def test_answer_append_rekeys_cache(self):
@@ -186,9 +188,9 @@ class TestDeltaRevalidation:
         # Same explicit targets: appending an answer row cannot change
         # any of these scores (answers have no out-edges).
         after = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 1
-        assert stats.delta_rekeys == 1
+        stats = engine_series(engine)
+        assert stats["engine_cache_hits_total"] == 1
+        assert stats["engine_delta_rekeys_total"] == 1
         assert after == before
 
     def test_patch_then_append_in_one_flush(self):
@@ -207,10 +209,10 @@ class TestDeltaRevalidation:
 
         engine.publish(apply)
         served = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 1
-        assert stats.delta_revalidations == 1
-        assert stats.delta_rekeys == 1
+        stats = engine_series(engine)
+        assert stats["engine_cache_hits_total"] == 1
+        assert stats["engine_delta_revalidations_total"] == 1
+        assert stats["engine_delta_rekeys_total"] == 1
         assert_matches_cold(served, aug, "q0", targets)
 
     def test_disabled_engine_cold_invalidates(self):
@@ -220,10 +222,10 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q0", targets)
         patch_edges(engine, aug, kg_edges_sorted(aug)[:2])
         served = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 0
-        assert stats.cache_misses == 2
-        assert stats.delta_revalidations == 0
+        stats = engine_series(engine)
+        assert stats["engine_cache_hits_total"] == 0
+        assert stats["engine_cache_misses_total"] == 2
+        assert stats["engine_delta_revalidations_total"] == 0
         # Cold path is bitwise, not merely tolerance-equal.
         cold = inverse_pdistance(
             aug.graph,
@@ -243,10 +245,10 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q0", targets)
         patch_edges(engine, aug, kg_edges_sorted(aug)[:2])
         served = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.delta_fallbacks == 1
-        assert stats.delta_revalidations == 0
-        assert stats.cache_misses == 2  # the fallback dropped the entry
+        stats = engine_series(engine)
+        assert stats["engine_delta_fallbacks_total"] == 1
+        assert stats["engine_delta_revalidations_total"] == 0
+        assert stats["engine_cache_misses_total"] == 2  # the fallback dropped the entry
         cold = inverse_pdistance(
             aug.graph,
             "q0",
@@ -263,9 +265,9 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q0", targets)
         # What the optimizer flush paths do: the solve runs inside publish.
         patch_edges(engine, aug, kg_edges_sorted(aug)[:5])
-        assert engine.stats().delta_revalidations == 1
+        assert engine_series(engine)["engine_delta_revalidations_total"] == 1
         served = engine.scores_for_query("q0", targets)
-        assert engine.stats().cache_hits == 1
+        assert engine_series(engine)["engine_cache_hits_total"] == 1
         assert_matches_cold(served, aug, "q0", targets)
 
 
@@ -288,13 +290,13 @@ class TestStalePreRebuildVector:
         )
         aug.graph.remove_edge(*removed)
         engine.scores_for_query("q1", targets)
-        assert engine.stats().builds == 2
+        assert engine_series(engine)["engine_builds_total"] == 2
         return aug, entities, engine, targets, removed
 
     def test_answer_append_after_rebuild(self):
         aug, entities, engine, targets, _ = self.rebuilt()
         attach_answer(engine, aug, "a_late", {entities[2]: 1.0})
-        assert engine.stats().rows_appended == 1
+        assert engine_series(engine)["engine_rows_appended_total"] == 1
         served = engine.scores_for_query("q0", targets)
         cold = inverse_pdistance(
             aug.graph,
@@ -312,7 +314,7 @@ class TestStalePreRebuildVector:
             aug,
             [next(e for e in kg_edges_sorted(aug) if e != removed)],
         )
-        assert engine.stats().weight_patches == 1
+        assert engine_series(engine)["engine_weight_patches_total"] == 1
         # Contracts are armed: a delta-corrected stale vector would raise
         # ContractViolation here.
         served = engine.scores_for_query("q0", targets)
@@ -329,9 +331,9 @@ class TestCacheBugfixes:
         links_rev = {entities[1]: 0.6, entities[0]: 0.4}
         first = engine.scores(links_fwd)
         second = engine.scores(links_rev)
-        stats = engine.stats()
-        assert stats.cache_misses == 1
-        assert stats.cache_hits == 1
+        stats = engine_series(engine)
+        assert stats["engine_cache_misses_total"] == 1
+        assert stats["engine_cache_hits_total"] == 1
         assert second == first
 
     def test_cached_vectors_are_read_only(self):
@@ -360,7 +362,7 @@ class TestCacheBugfixes:
         first[targets[0]] = 999.0  # the served dict is the caller's own
         second = engine.scores_for_query("q0", targets)
         assert second[targets[0]] != 999.0
-        assert engine.stats().cache_hits == 1
+        assert engine_series(engine)["engine_cache_hits_total"] == 1
 
     def test_revalidated_vectors_stay_read_only(self):
         aug, _ = build_aug()
@@ -479,7 +481,7 @@ class TestDeltaProperty:
                 served = engine.scores_for_query(query, targets)
                 assert_matches_cold(served, aug, query, targets)
         # The LRU stayed warm the whole time: one miss per query, ever.
-        assert engine.stats().cache_misses == len(queries)
+        assert engine_series(engine)["engine_cache_misses_total"] == len(queries)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -497,7 +499,7 @@ class TestDeltaProperty:
         edges = kg_edges_sorted(aug)
         patch_edges(engine, aug, [edges[edge_pick % len(edges)]], scale=scale)
         served = engine.scores_for_query("q0", targets)
-        assert engine.stats().delta_fallbacks == 1
+        assert engine_series(engine)["engine_delta_fallbacks_total"] == 1
         cold = inverse_pdistance(
             aug.graph,
             "q0",

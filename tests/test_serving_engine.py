@@ -21,7 +21,6 @@ from repro.optimize.report import OptimizeReport
 from repro.optimize.single_vote import SingleVoteReport, VoteOutcome
 from repro.optimize.split_merge import SplitMergeReport
 from repro.serving import (
-    EngineStats,
     Patch,
     SimilarityEngine,
     SimilarityParams,
@@ -32,6 +31,7 @@ from repro.similarity.inverse_pdistance import (
     inverse_pdistance_batch,
 )
 from repro.similarity.top_k import rank_answers
+from tests.engine_series import engine_series
 
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
@@ -171,8 +171,9 @@ class TestEngineBitwise:
 
         engine.publish(reweight)
         assert_engine_matches_cold(engine, aug)
-        assert engine.stats().weight_patches == 10
-        assert engine.stats().builds == 1  # no rebuild for weight updates
+        stats = engine_series(engine)
+        assert stats["engine_weight_patches_total"] == 10
+        assert stats["engine_builds_total"] == 1  # no rebuild for weight updates
 
     def test_answer_append_matches_cold(self):
         aug, entities = build_aug()
@@ -187,22 +188,24 @@ class TestEngineBitwise:
 
         engine.publish(attach)
         assert_engine_matches_cold(engine, aug)
-        assert engine.stats().rows_appended == 1
-        assert engine.stats().builds == 1  # appended, not rebuilt
+        stats = engine_series(engine)
+        assert stats["engine_rows_appended_total"] == 1
+        assert stats["engine_builds_total"] == 1  # appended, not rebuilt
 
     def test_query_churn_is_free(self):
         aug, entities = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS)
         assert_engine_matches_cold(engine, aug)
         engine.scores_for_query("q1")
-        hits_before = engine.stats().cache_hits
+        hits_before = engine_series(engine)["engine_cache_hits_total"]
         aug.add_query("q_new", {entities[2]: 1.0})
         aug.remove_query("q0")
         # The matrix is untouched, so the cached vector is still valid.
         engine.scores_for_query("q1")
-        assert engine.stats().cache_hits == hits_before + 1
+        assert engine_series(engine)["engine_cache_hits_total"] == hits_before + 1
         assert_engine_matches_cold(engine, aug)
-        assert engine.stats().builds == 1  # query churn never rebuilds
+        # Query churn never rebuilds.
+        assert engine_series(engine)["engine_builds_total"] == 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -282,42 +285,46 @@ class TestEngineBehaviour:
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
         engine.scores_for_query("q0")
-        before = engine.stats()
+        before = engine_series(engine)
         engine.scores_for_query("q0")
-        after = engine.stats()
-        assert after.cache_hits == before.cache_hits + 1
+        after = engine_series(engine)
+        hits, misses = "engine_cache_hits_total", "engine_cache_misses_total"
+        assert after[hits] == before[hits] + 1
         edge = next(iter(aug.kg_edges()))
         aug.set_kg_weight(edge.head, edge.tail, 0.42)
         engine.scores_for_query("q0")
-        assert engine.stats().cache_hits == after.cache_hits  # new version
-        assert engine.stats().cache_misses > after.cache_misses
+        latest = engine_series(engine)
+        assert latest[hits] == after[hits]  # new version
+        assert latest[misses] > after[misses]
 
     def test_cache_size_zero_disables(self):
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS, cache_size=0)
         engine.scores_for_query("q0")
         engine.scores_for_query("q0")
-        stats = engine.stats()
-        assert stats.cache_hits == 0
-        assert stats.cache_entries == 0
+        stats = engine_series(engine)
+        assert stats["engine_cache_hits_total"] == 0
+        assert stats["engine_cache_entries"] == 0
 
     def test_cache_is_bounded(self):
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS, cache_size=2)
         for query in sorted(aug.query_nodes, key=repr):
             engine.scores_for_query(query)
-        assert engine.stats().cache_entries <= 2
+        assert engine_series(engine)["engine_cache_entries"] <= 2
 
     def test_stats_snapshot_fields(self):
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS)
         engine.score_batch(sorted(aug.query_nodes, key=repr))
-        stats = engine.stats()
-        assert isinstance(stats, EngineStats)
-        assert stats.builds == 1
-        assert stats.batch_serves == 1
-        assert stats.graph_version == aug.version
-        assert set(stats.timings) == {"build", "propagate", "delta"}
+        stats = engine_series(engine)
+        assert stats["engine_builds_total"] == 1
+        assert stats["engine_batch_serves_total"] == 1
+        assert engine.version == aug.version
+        # One build and one stacked propagation; no patch, so no delta.
+        assert stats["engine_build_seconds"]["count"] == 1
+        assert stats["engine_propagate_seconds"]["count"] == 1
+        assert stats["engine_delta_seconds"]["count"] == 0
 
     def test_non_query_raises(self):
         aug, _ = build_aug()
@@ -355,9 +362,9 @@ class TestEngineBehaviour:
             return Patch(answers=["a_new"])
 
         assert engine.publish(attach) == 0
-        assert engine.stats().builds == 0
+        assert engine_series(engine)["engine_builds_total"] == 0
         assert "a_new" in engine.scores_for_query("q0")
-        assert engine.stats().builds == 1
+        assert engine_series(engine)["engine_builds_total"] == 1
 
     def test_unannounced_write_before_publish_rebuilds(self):
         aug, _ = build_aug()
@@ -371,8 +378,9 @@ class TestEngineBehaviour:
             return Patch(edges=[second])
 
         assert engine.publish(announced) == 2
-        stats = engine.stats()
-        assert (stats.builds, stats.weight_patches) == (2, 0)
+        stats = engine_series(engine)
+        assert stats["engine_builds_total"] == 2
+        assert stats["engine_weight_patches_total"] == 0
         assert_engine_matches_cold(engine, aug)
 
     def test_empty_patch_publishes_nothing_unless_the_graph_moved(self):
@@ -383,7 +391,7 @@ class TestEngineBehaviour:
         edge = next(iter(aug.kg_edges())).key
         # A write the patch does not announce: the publish rebuilds.
         assert engine.publish(lambda: aug.set_kg_weight(*edge, 0.2)) == 2
-        assert engine.stats().builds == 2
+        assert engine_series(engine)["engine_builds_total"] == 2
         assert_engine_matches_cold(engine, aug)
 
     def test_failed_apply_publishes_nothing(self):
@@ -400,7 +408,27 @@ class TestEngineBehaviour:
             engine.publish(apply)
         assert engine.epoch == 1
         assert_engine_matches_cold(engine, aug)  # the serve rebuilt
-        assert engine.stats().builds == 2
+        assert engine_series(engine)["engine_builds_total"] == 2
+
+    def test_patch_naming_an_answer_twice_appends_one_row(self):
+        aug, entities = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+        engine.scores_for_query("q0")
+
+        def attach():
+            aug.add_answer("a_twice", {entities[1]: 1.0, entities[6]: 2.0})
+            return Patch(answers=["a_twice", "a_twice"])
+
+        assert engine.publish(attach) == 2
+        stats = engine_series(engine)
+        assert stats["engine_rows_appended_total"] == 1
+        assert stats["engine_builds_total"] == 1
+        # The appended epoch serves the answer bitwise like a cold build,
+        # without the rebuild a failed publish would leave behind.
+        assert "a_twice" in engine.scores_for_query("q0")
+        assert_engine_matches_cold(engine, aug)
+        assert engine_series(engine)["engine_builds_total"] == 1
+        assert engine.epoch == 2
 
     def test_patch_naming_a_new_edge_rebuilds(self):
         aug, entities = build_aug()
@@ -416,7 +444,7 @@ class TestEngineBehaviour:
             return Patch(edges=[(head, tail)])
 
         engine.publish(grow)
-        assert engine.stats().builds == 2
+        assert engine_series(engine)["engine_builds_total"] == 2
         assert_engine_matches_cold(engine, aug)
 
     def test_virtual_query_scores(self):

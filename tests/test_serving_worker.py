@@ -45,6 +45,7 @@ from tests.durable_scenario import (
     kg_weights,
     single_threaded_replay,
 )
+from tests.engine_series import engine_series
 
 
 def make_item(i=0, seq=None):
@@ -452,7 +453,7 @@ class TestEpochPublication:
         )
         # A cache hit and a miss, both on the pre-publish epoch.
         assert served == before
-        assert engine.stats().delta_revalidations == 1
+        assert engine_series(engine)["engine_delta_revalidations_total"] == 1
         for query in queries:
             assert_near(
                 engine.scores_for_query(query, targets),
@@ -474,7 +475,7 @@ class TestEpochPublication:
         )
         assert served == before
         assert "a_late" in engine.scores_for_query("q0")
-        assert engine.stats().rows_appended == 1
+        assert engine_series(engine)["engine_rows_appended_total"] == 1
 
     def test_rank_answers_during_publish_ranks_previous_epoch(self):
         # Without explicit candidates, rank_answers ranks the answers of
@@ -594,8 +595,8 @@ class TestServeThreadsRace:
         assert errors == []
         assert len(states) == len(edges) + 1
         assert engine.epoch == first + len(edges)
-        assert engine.stats().weight_patches == len(edges)
-        assert engine.stats().builds == 1
+        assert engine_series(engine)["engine_weight_patches_total"] == len(edges)
+        assert engine_series(engine)["engine_builds_total"] == 1
         assert len(engine._current) <= 6
         for before, after, query, served in observations:
             assert any(

@@ -44,6 +44,7 @@ from repro.similarity.push import (
     push_propagate,
     remaining_gain,
 )
+from tests.engine_series import engine_series
 
 #: Float-comparison slop on top of the analytic error budget: push and
 #: dense sum the same products in different orders.
@@ -365,8 +366,8 @@ class TestEnginePush:
                 assert served[target] == pytest.approx(
                     cold[target], abs=budget
                 )
-        assert engine.stats().push_serves == len(aug.query_nodes)
-        assert engine.stats().push_edges_touched > 0
+        assert engine_series(engine)["engine_push_serves_total"] == len(aug.query_nodes)
+        assert engine_series(engine)["engine_push_edges_touched"]["sum"] > 0
         engine.close()
 
     def test_cache_hit_skips_push(self):
@@ -375,9 +376,9 @@ class TestEnginePush:
         first = engine.scores_for_query("q", ["ans"])
         second = engine.scores_for_query("q", ["ans"])
         assert first == second
-        stats = engine.stats()
-        assert stats.push_serves == 1
-        assert stats.cache_hits == 1
+        stats = engine_series(engine)
+        assert stats["engine_push_serves_total"] == 1
+        assert stats["engine_cache_hits_total"] == 1
         engine.close()
 
     def test_disjoint_patch_rekeys_cached_push(self):
@@ -388,10 +389,10 @@ class TestEnginePush:
         reweight(engine, aug, "X", "Y", 0.1)
         after = engine.scores_for_query("q", ["ans"])
         assert after == before  # carried verbatim, not recomputed
-        stats = engine.stats()
-        assert stats.push_rekeys == 1
-        assert stats.push_repushes == 0
-        assert stats.push_serves == 1
+        stats = engine_series(engine)
+        assert stats["engine_push_rekeys_total"] == 1
+        assert stats["engine_push_repushes_total"] == 0
+        assert stats["engine_push_serves_total"] == 1
         engine.close()
 
     def test_intersecting_patch_repushes(self):
@@ -406,9 +407,9 @@ class TestEnginePush:
         assert served["ans"] == pytest.approx(
             cold["ans"], abs=PUSH_PARAMS.push_tolerance + FP_SLOP
         )
-        stats = engine.stats()
-        assert stats.push_repushes == 1
-        assert stats.push_serves == 1  # the repair is not a serve
+        stats = engine_series(engine)
+        assert stats["engine_push_repushes_total"] == 1
+        assert stats["engine_push_serves_total"] == 1  # the repair is not a serve
         engine.close()
 
     def test_answer_append_keeps_push_cache_valid(self):
@@ -422,7 +423,7 @@ class TestEnginePush:
             return Patch(answers=["a_new"])
 
         engine.publish(attach)
-        assert engine.stats().rows_appended == 1
+        assert engine_series(engine)["engine_rows_appended_total"] == 1
         served = engine.scores_for_query(
             "q0", targets + ["a_new"]
         )
@@ -459,7 +460,7 @@ class TestEnginePush:
                 assert batch[query][target] == pytest.approx(
                     cold[target], abs=budget
                 )
-        assert engine.stats().push_serves == len(queries)
+        assert engine_series(engine)["engine_push_serves_total"] == len(queries)
         engine.close()
 
     @settings(max_examples=15, deadline=None)

@@ -1,19 +1,15 @@
 """Unit tests for the shared utilities."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.utils import (
-    Stopwatch,
     check_fraction,
     check_positive,
     check_probability,
     ensure_rng,
     format_table,
     spawn_rngs,
-    timed,
 )
 
 
@@ -44,44 +40,6 @@ class TestRng:
     def test_spawn_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-
-class TestStopwatch:
-    def test_accumulates_across_intervals(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.01)
-        first = watch.stop()
-        watch.start()
-        time.sleep(0.01)
-        second = watch.stop()
-        assert second > first > 0
-
-    def test_double_start_rejected(self):
-        watch = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_running_flag_and_reset(self):
-        watch = Stopwatch()
-        assert not watch.running
-        watch.start()
-        assert watch.running
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_timed_context_accumulates(self):
-        store = {}
-        with timed(store, "step"):
-            time.sleep(0.005)
-        with timed(store, "step"):
-            time.sleep(0.005)
-        assert store["step"] >= 0.01
 
 
 class TestFormatTable:
