@@ -7,7 +7,8 @@ Three layers are covered here:
 - the push kernel itself against the dense reference — the paper's
   Fig. 1 worked example, exact mode, and a hypothesis property that
   push agrees with dense within the derived error budget on random
-  graphs;
+  graphs — and against the vectorized kernel it replaced
+  (``tests/push_reference.py``), bitwise;
 - the serving engine's push path — cache hits, the rekey-vs-repush
   decision under weight patches, answer appends, and the refusal of
   graph-only backends — with the runtime contracts armed (conftest),
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.errors import (
     EvaluationError,
@@ -44,6 +46,7 @@ from repro.similarity.push import (
     push_propagate,
     remaining_gain,
 )
+from tests import push_reference
 from tests.engine_series import engine_series
 
 #: Float-comparison slop on top of the analytic error budget: push and
@@ -283,6 +286,11 @@ class TestPushKernel:
                 out_matrix, seed, weights, targets,
                 max_length=5, restart_prob=0.15, rho=0.5,
             )
+        with pytest.raises(ValueError, match="seed index shape"):
+            push_propagate(
+                out_matrix, np.array([0, 1], dtype=np.int64), weights, targets,
+                max_length=5, restart_prob=0.15,
+            )
 
     def test_remaining_gain_zero_at_last_level(self):
         assert (
@@ -313,6 +321,113 @@ class TestPushKernel:
                 push_tolerance=tolerance, max_length=max_length
             ),
         )
+
+
+def random_out_csr(rng, num_nodes, max_degree, sink_share, row_mass):
+    """An out-edge CSR with ``row_mass``-summing rows, some of them sinks.
+
+    Raw weights spread over four orders of magnitude before each row is
+    scaled, and a tenth are zero; a row may draw one column twice
+    (summed into one entry).  ``row_mass`` above 1 makes the graph
+    super-stochastic (ρ > 1).
+    """
+    degrees = rng.integers(0, max_degree + 1, size=num_nodes)
+    degrees[rng.random(num_nodes) < sink_share] = 0
+    rows = np.repeat(np.arange(num_nodes), degrees)
+    cols = rng.integers(0, num_nodes, size=rows.size)
+    weights = 10.0 ** rng.uniform(-4.0, 0.0, size=rows.size)
+    weights[rng.random(rows.size) < 0.1] = 0.0
+    sums = np.bincount(rows, weights=weights, minlength=num_nodes)
+    weights = row_mass * weights / np.maximum(sums[rows], 1e-300)
+    return sparse.csr_matrix(
+        (weights, (rows, cols)), shape=(num_nodes, num_nodes)
+    )
+
+
+def assert_bitwise_equal(got, want):
+    """Two :class:`PropagationResult` values agree to the last bit."""
+    assert got.scores.dtype == want.scores.dtype
+    assert got.scores.shape == want.scores.shape
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.edges_touched == want.edges_touched
+    assert got.touched_nodes.dtype == want.touched_nodes.dtype
+    assert got.touched_nodes.shape == want.touched_nodes.shape
+    assert got.touched_nodes.tobytes() == want.touched_nodes.tobytes()
+    assert float(got.error_bound).hex() == float(want.error_bound).hex()
+    assert float(got.rho).hex() == float(want.rho).hex()
+
+
+class TestPushMatchesVectorizedKernel:
+    """The loop kernel adds in the vectorized kernel's order, so every
+    result is bitwise the one ``tests/push_reference.py`` returns.
+
+    Seed weights spread over twelve orders of magnitude and the coarse
+    tolerances drop most of a frontier, so many levels drop eight or
+    more entries: from there numpy's pairwise sum and a left-to-right
+    sum part ways, which is what pins the dropped-mass order.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        num_nodes=st.integers(min_value=1, max_value=60),
+        max_degree=st.integers(min_value=0, max_value=8),
+        sink_share=st.sampled_from([0.0, 0.3, 1.0]),
+        row_mass=st.sampled_from([0.5, 0.9, 1.0, 3.0]),
+        num_seeds=st.integers(min_value=0, max_value=32),
+        num_targets=st.integers(min_value=0, max_value=12),
+        tolerance=st.sampled_from([0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0]),
+        max_length=st.integers(min_value=1, max_value=6),
+        index_dtype=st.sampled_from([np.int32, np.int64]),
+        read_only=st.booleans(),
+    )
+    def test_bitwise_equal_to_reference(
+        self,
+        seed,
+        num_nodes,
+        max_degree,
+        sink_share,
+        row_mass,
+        num_seeds,
+        num_targets,
+        tolerance,
+        max_length,
+        index_dtype,
+        read_only,
+    ):
+        rng = np.random.default_rng(seed)
+        out_matrix = random_out_csr(
+            rng, num_nodes, max_degree, sink_share, row_mass
+        )
+        out_matrix.indptr = out_matrix.indptr.astype(index_dtype)
+        out_matrix.indices = out_matrix.indices.astype(index_dtype)
+        # Seeds and targets repeat freely on graphs this small.
+        seed_idx = rng.integers(0, num_nodes, size=num_seeds).astype(index_dtype)
+        seed_weights = row_mass * 10.0 ** rng.uniform(-12.0, 0.0, size=num_seeds)
+        target_idx = rng.integers(0, num_nodes, size=num_targets).astype(
+            index_dtype
+        )
+        arrays = (
+            out_matrix.indptr,
+            out_matrix.indices,
+            out_matrix.data,
+            seed_idx,
+            seed_weights,
+            target_idx,
+        )
+        if read_only:
+            for array in arrays:
+                array.flags.writeable = False
+        kwargs = dict(
+            max_length=max_length, restart_prob=0.15, tolerance=tolerance
+        )
+        got = push_propagate(
+            out_matrix, seed_idx, seed_weights, target_idx, **kwargs
+        )
+        want = push_reference.push_propagate(
+            out_matrix, seed_idx, seed_weights, target_idx, **kwargs
+        )
+        assert_bitwise_equal(got, want)
 
 
 # ----------------------------------------------------------------------
