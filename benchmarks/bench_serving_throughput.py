@@ -74,10 +74,10 @@ def _build_system(*, use_engine):
     return kg, system, questions
 
 
-def _ask_loop(system, questions):
+def _ask_loop(system, questions, num_asks=NUM_ASKS):
     start = time.perf_counter()
     answers = []
-    for i in range(NUM_ASKS):
+    for i in range(num_asks):
         question = questions[i % len(questions)]
         answers.append(
             system.ask(question, question_id=f"bench_q{i % len(questions)}")
@@ -185,67 +185,79 @@ def bench_serving_throughput(benchmark):
     assert stats["engine_cache_hits_total"] > 0  # repeated questions hit the LRU
 
 
-#: Multiplicative ceiling for the armed-recorder ask loop, plus an
-#: absolute slack floor — 5% of a sub-second loop is single-digit
-#: milliseconds, well inside scheduler noise, so a pure ratio check
-#: would flake.  The slack dominates: it is several times the whole
-#: loop, so the bound catches gross recorder costs only (arming
-#: measures about +4–5 µs per ask, +8–16% of this loop).
-MAX_RECORDER_OVERHEAD = 1.05
-RECORDER_SLACK_SECONDS = 0.05
+#: Disarmed/armed block pairs, and cached asks per block, for the
+#: recorder bench.  Alternating blocks cancel drift between the two
+#: sides (frequency scaling, a busy neighbour); neither size shrinks in
+#: smoke mode, because resolving a few microseconds per ask takes
+#: thousands of asks a side.
+RECORDER_BLOCK_PAIRS = 10
+RECORDER_BLOCK_ASKS = 500
+#: Bound on arming's median per-ask cost, relative to the disarmed
+#: per-ask time.  On a 2-vCPU VM a cached ask took 36–40 µs disarmed and
+#: arming added a median 5.3–5.7 µs (+14–16%; single blocks −0.6 to
+#: 8.7 µs), so +30% leaves about 2× headroom.
+MAX_RECORDER_OVERHEAD = 0.30
 
 
 def bench_recorder_overhead(benchmark, tmp_path):
-    """Flight-recorder arming must not add a gross cost to the ask loop.
+    """Arming the flight recorder must cost a cached ask at most +30%.
 
     Disarmed, an observed operation pays one global load for the
     recorder; armed, one event object, a deque append and a locked
-    counter increment per event — two events per cache-hit ask, about
-    4–5 µs, which is +8–16% of this cache-hit loop but invisible next to
-    a propagation.  Replays the same ask loop as the throughput bench
-    with the recorder off and on (best of three each, to shed warm-up
-    and scheduler noise) and asserts the armed loop is within
-    ``MAX_RECORDER_OVERHEAD`` plus ``RECORDER_SLACK_SECONDS``; the
-    slack, not the ratio, decides on loops this short.
+    counter increment per event — two events per cache-hit ask.  Times
+    ``RECORDER_BLOCK_PAIRS`` alternating disarmed/armed blocks of
+    ``RECORDER_BLOCK_ASKS`` cached asks each and asserts that the median
+    per-ask difference within a pair is at most ``MAX_RECORDER_OVERHEAD``
+    of the median disarmed per-ask time.
     """
     from repro.obs.recorder import arm_recorder, disarm_recorder
 
     results = {}
 
+    def per_ask(system, questions):
+        seconds, _ = _ask_loop(system, questions, RECORDER_BLOCK_ASKS)
+        return seconds / RECORDER_BLOCK_ASKS
+
     def run_all():
         _, system, questions = _build_system(use_engine=True)
-        _ask_loop(system, questions)  # warm: build matrix, fill the LRU
-
-        def best_of(n):
-            return min(_ask_loop(system, questions)[0] for _ in range(n))
-
-        disarm_recorder()
-        off = best_of(3)
-        # Thresholds high enough that no slow-op dump fires mid-loop:
-        # the bench measures steady-state recording, not bundle writes.
-        arm_recorder(
-            tmp_path / "flight",
-            slow_thresholds={"qa.ask": 3600.0, "engine.serve": 3600.0},
-        )
-        try:
-            on = best_of(3)
-        finally:
+        # Warm: build the matrix, fill the LRU, settle the allocator.
+        _ask_loop(system, questions, RECORDER_BLOCK_ASKS)
+        off, on = [], []
+        for _ in range(RECORDER_BLOCK_PAIRS):
             disarm_recorder()
-        results.update(off=off, on=on)
+            off.append(per_ask(system, questions))
+            # Thresholds high enough that no slow-op dump fires mid-loop:
+            # the bench measures steady-state recording, not bundle writes.
+            arm_recorder(
+                tmp_path / "flight",
+                slow_thresholds={"qa.ask": 3600.0, "engine.serve": 3600.0},
+            )
+            try:
+                on.append(per_ask(system, questions))
+            finally:
+                disarm_recorder()
+        results.update(off=np.array(off), on=np.array(on))
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     off, on = results["off"], results["on"]
-    overhead = (on / off - 1.0) * 100.0
+    disarmed = float(np.median(off))
+    added = float(np.median(on - off))
+    overhead = added / disarmed
+    blocks = f"{RECORDER_BLOCK_PAIRS} × {RECORDER_BLOCK_ASKS} asks"
     report(
         format_table(
-            ["recorder", f"{NUM_ASKS} asks", "q/s"],
+            ["recorder", f"µs per ask ({blocks})", "min–max"],
             [
-                ["disarmed", f"{off:.3f}s", f"{NUM_ASKS / off:.0f}"],
-                ["armed", f"{on:.3f}s", f"{NUM_ASKS / on:.0f}"],
+                ["disarmed", f"{disarmed * 1e6:.1f}",
+                 f"{off.min() * 1e6:.1f}–{off.max() * 1e6:.1f}"],
+                ["armed", f"{np.median(on) * 1e6:.1f}",
+                 f"{on.min() * 1e6:.1f}–{on.max() * 1e6:.1f}"],
+                ["armed − disarmed", f"{added * 1e6:+.1f}",
+                 f"{(on - off).min() * 1e6:+.1f}–{(on - off).max() * 1e6:+.1f}"],
             ],
-            title=f"Flight-recorder overhead: {overhead:+.1f}%",
+            title=f"Flight-recorder overhead: {overhead:+.1%} per cached ask",
         )
     )
     if OUTPUT_DIR:
@@ -258,15 +270,18 @@ def bench_recorder_overhead(benchmark, tmp_path):
                 {
                     "benchmark": "recorder_overhead",
                     "smoke": SMOKE,
-                    "disarmed_seconds": off,
-                    "armed_seconds": on,
-                    "overhead_pct": overhead,
+                    "block_pairs": RECORDER_BLOCK_PAIRS,
+                    "block_asks": RECORDER_BLOCK_ASKS,
+                    "disarmed_us_per_ask": disarmed * 1e6,
+                    "added_us_per_ask": added * 1e6,
+                    "overhead_pct": overhead * 100.0,
                 },
                 handle, indent=2, sort_keys=True,
             )
             handle.write("\n")
 
-    assert on <= off * MAX_RECORDER_OVERHEAD + RECORDER_SLACK_SECONDS, (
-        f"armed recorder cost {overhead:+.1f}% over disarmed "
-        f"({on:.3f}s vs {off:.3f}s), beyond the ratio and slack bound"
+    assert overhead <= MAX_RECORDER_OVERHEAD, (
+        f"armed recorder adds {added * 1e6:.1f} µs per cached ask, "
+        f"{overhead:+.1%} of the disarmed {disarmed * 1e6:.1f} µs "
+        f"(bound +{MAX_RECORDER_OVERHEAD:.0%})"
     )

@@ -40,15 +40,11 @@ from repro.graph import (
     random_digraph,
 )
 from repro.similarity import (
-    PropagationBackend,
-    available_backends,
     get_backend,
     inverse_pdistance,
     ppr_vector,
     rank_answers,
     random_walk_similarity,
-    register_backend,
-    resolve_backend,
 )
 from repro.votes import (
     GroundTruthOracle,
@@ -97,11 +93,7 @@ __all__ = [
     "inverse_pdistance",
     "random_walk_similarity",
     "rank_answers",
-    "PropagationBackend",
-    "register_backend",
     "get_backend",
-    "available_backends",
-    "resolve_backend",
     "Vote",
     "VoteSet",
     "generate_synthetic_votes",

@@ -231,7 +231,7 @@ def _cmd_similarity(args) -> int:
 
     from repro.graph import AugmentedGraph, random_digraph
     from repro.serving import SimilarityParams
-    from repro.similarity import get_backend
+    from repro.similarity import get_backend, random_walk_similarity
 
     params = SimilarityParams()
     rows = []
@@ -247,8 +247,8 @@ def _cmd_similarity(args) -> int:
         aug.add_query("query", {nodes[int(i)]: 1 for i in picks})
         answers = [f"ans{a}" for a in range(num_answers)]
         start = time.perf_counter()
-        get_backend("random_walk").scores(
-            aug.graph, "query", answers, params=params
+        random_walk_similarity(
+            aug.graph, "query", answers, restart_prob=params.restart_prob
         )
         rw = time.perf_counter() - start
         start = time.perf_counter()

@@ -28,9 +28,9 @@ Rule      What it rejects
           (or ``time.perf_counter``).
 ``R006``  Direct calls to the similarity kernels
           (``inverse_pdistance*`` / ``ppr_*``) outside the
-          ``similarity/`` package — callers must resolve a kernel
-          through :class:`~repro.serving.params.SimilarityParams` and
-          the :mod:`~repro.similarity.backend` registry so the
+          ``similarity/`` package — callers must take the kernel that
+          :func:`~repro.similarity.backend.get_backend` returns for
+          :attr:`~repro.serving.params.SimilarityParams.backend`, so the
           ``backend=`` field actually controls propagation everywhere.
 ``R007``  A catalog entry emitted *nowhere* in the linted tree — the
           inverse of R002: the catalog must not accumulate phantom
@@ -373,9 +373,8 @@ class _RuleVisitor(ast.NodeVisitor):
             self._emit(
                 "R006",
                 node,
-                f"direct kernel call {terminal}(); resolve it via "
-                f"SimilarityParams.backend and "
-                f"repro.similarity.backend.resolve_backend",
+                f"direct kernel call {terminal}(); call "
+                f"repro.similarity.backend.get_backend(params.backend)",
             )
         # R002: obs names must be in the catalog
         self._check_obs_name(node, func)

@@ -65,10 +65,11 @@ class ConvergenceError(SimilarityError):
 
 
 class UnknownBackendError(SimilarityError, KeyError):
-    """Raised when a propagation-backend name is not in the registry.
+    """Raised when a propagation-backend name is neither ``"dense"`` nor
+    ``"push"``.
 
-    Subclasses :class:`KeyError` as well, since the registry is a
-    name-keyed lookup; the custom ``__str__`` keeps the message readable
+    Subclasses :class:`KeyError` as well, since the kernels are looked
+    up by name; the custom ``__str__`` keeps the message readable
     (``KeyError`` would ``repr`` it).
     """
 

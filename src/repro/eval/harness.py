@@ -17,7 +17,7 @@ from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
 from repro.obs import observe
 from repro.serving.params import SimilarityParams
-from repro.similarity.backend import resolve_backend
+from repro.similarity.backend import get_backend
 from repro.similarity.top_k import rank_position, scores_to_ranked_list
 from repro.votes.types import Vote, VoteSet
 
@@ -61,7 +61,7 @@ def rerank_vote(
             vote.query, vote.ranked_answers, params=params
         )
     else:
-        scores = resolve_backend(params).scores(
+        scores = get_backend(params.backend).scores(
             aug.graph, vote.query, vote.ranked_answers, params=params
         )
     ranked = scores_to_ranked_list(scores)
@@ -172,7 +172,7 @@ def evaluate_test_set(
                 list(test_pairs), pool, params=params
             )
         else:
-            all_scores = resolve_backend(params).scores_batch(
+            all_scores = get_backend(params.backend).scores_batch(
                 aug.graph, list(test_pairs), pool, params=params
             )
         ranks: list[int] = []

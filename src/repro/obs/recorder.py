@@ -24,10 +24,9 @@ Cost model: an observed operation's event is one event object, one
 counter, which takes that counter's lock; no I/O until a trigger fires.
 When no recorder is armed, an operation pays one module-global load.
 Armed, a cache-hit ``QASystem.ask`` (two events: ``qa.ask`` and
-``engine.serve``) costs about 4–5 µs more, +8–16% on
-``bench_recorder_overhead``'s ask loop (6,000 asks per side in
-alternating blocks, 2-vCPU VM).  That bench's bound passes on its
-absolute slack, not on a 5% ratio.
+``engine.serve``) costs about 4–6 µs more, +10–19% on
+``bench_recorder_overhead``'s ask loop (5,000 asks per side in
+alternating blocks, 2-vCPU VM), which bounds it at +30%.
 
 Arming mirrors :mod:`repro.devtools.contracts`: set ``REPRO_FLIGHT_DIR``
 in the environment (CI does, so a failed test run uploads its bundles),

@@ -12,8 +12,8 @@ split-and-merge (whose clustering overhead only pays off at scale).
 
 Durable mode (``store=DurableStore(...)``) makes the loop crash-safe:
 
-- ``submit()`` appends the vote to the write-ahead log (fsynced)
-  *before* buffering it — log before apply;
+- ``submit()`` appends the vote, with its query's out-links, to the
+  write-ahead log (fsynced) *before* buffering it — log before apply;
 - a successful ``flush()`` checkpoints: the graph is snapshotted
   atomically, stamped with the batch's last WAL sequence, and the WAL
   is rotated past it — snapshot after flush;
@@ -110,10 +110,12 @@ class OnlineOptimizer:
     def submit(self, vote: Vote) -> "BatchOutcome | None":
         """Buffer one vote; optimize (and return the outcome) if due.
 
-        In durable mode the vote is fsynced to the WAL *before* it is
-        buffered: once ``submit`` returns, no crash can lose it.  The
-        sequence number is tracked only after the buffer accepted the
-        vote — a vote the buffer rejects (a deduplicating or validating
+        In durable mode the vote is fsynced to the WAL, with the voted
+        query's out-links, *before* it is buffered: once ``submit``
+        returns, no crash can lose it, and recovery re-attaches the
+        query as it was when the vote was cast.  The sequence number is
+        tracked only after the buffer accepted the vote — a vote the
+        buffer rejects (a deduplicating or validating
         :class:`~repro.votes.types.VoteSet` subclass) stays in the WAL
         but never in ``_pending_seqs``, so a later checkpoint cannot
         stamp a snapshot with a sequence that was never applied.
@@ -123,29 +125,50 @@ class OnlineOptimizer:
         """
         if not isinstance(vote, Vote):
             raise VoteError(f"expected a Vote, got {type(vote).__name__}")
-        if self.store is not None:
-            seq = self.store.log_vote(vote)
-            self.pending.add(vote)
-            self._pending_seqs.append(seq)
-        else:
-            self.pending.add(vote)
-        if self.policy.should_optimize(self.pending):
-            return self.flush()
-        return None
+        if self.store is None:
+            return self.buffer(vote)
+        links = (
+            tuple(self.aug.query_links(vote.query).items())
+            if self.aug.is_query(vote.query)
+            else None
+        )
+        return self.buffer(vote, seq=self.store.log_vote(vote, links=links))
 
     @mutator
-    def buffer(self, vote: Vote, *, seq: "int | None" = None) -> "BatchOutcome | None":
+    def buffer(
+        self,
+        vote: Vote,
+        *,
+        seq: "int | None" = None,
+        links: "tuple[tuple, ...] | None" = None,
+    ) -> "BatchOutcome | None":
         """Buffer one *already-durable* vote; optimize if due.
 
-        The concurrent ingest path (:class:`repro.serving.worker.OptimizerWorker`)
-        logs votes to the WAL on the caller's thread — log before
-        enqueue — and hands the assigned sequence over here, so nothing
-        is re-logged.  Seqs and pending votes stay in lockstep exactly
-        as in :meth:`submit`: the seq is tracked only once the buffer
-        accepted the vote.
+        :meth:`submit`, the concurrent ingest path
+        (:class:`repro.serving.worker.OptimizerWorker`, which logs votes
+        on the caller's thread — log before enqueue) and recovery's
+        replay all hand the vote and its WAL sequence over here, so
+        nothing is re-logged.  The seq is tracked only once the buffer
+        accepted the vote, so seqs and pending votes stay in lockstep.
+
+        ``links`` are the voted query's out-links as logged with the
+        vote.  The solve must see the links the vote was cast against:
+        a query the graph lacks is attached from them, and one whose
+        links differ (a replaced, re-asked question) is re-attached.
+        Equal links leave the graph alone: a gratuitous detach/attach
+        would move the query to the end of the node ordering and
+        de-sync the solver's float arithmetic from what a run over the
+        original graph produces.
         """
         if not isinstance(vote, Vote):
             raise VoteError(f"expected a Vote, got {type(vote).__name__}")
+        if links is not None:
+            query = vote.query
+            if not self.aug.is_query(query):
+                self.aug.add_query(query, dict(links))
+            elif tuple(self.aug.query_links(query).items()) != links:
+                self.aug.remove_query(query)
+                self.aug.add_query(query, dict(links))
         self.pending.add(vote)
         if seq is not None:
             self._pending_seqs.append(seq)
@@ -288,26 +311,17 @@ class OnlineOptimizer:
         with observe("wal.replay") as op:
             batches_before = len(self.history)
             for record in records:
-                if record.links is not None and not self.aug.is_query(
-                    record.vote.query
-                ):
-                    # A tail vote's query can postdate every snapshot
-                    # (the concurrent ingest path logs votes for
-                    # serve-time query nodes); re-attach it from the
-                    # logged links so the replayed solve sees the same
-                    # constraint graph the live run did.
-                    self.aug.add_query(record.vote.query, dict(record.links))
+                # A tail vote's query can postdate the snapshot or have
+                # been re-linked since; buffer re-attaches it from the
+                # logged links, so the replayed solve sees the same
+                # constraint graph the live run did.
                 try:
-                    self.pending.add(record.vote)
+                    self.buffer(record.vote, seq=record.seq, links=record.links)
                 except VoteError:
                     # The live run logged this vote and then had the
                     # buffer reject it; replay rejects it identically
-                    # and must not track its seq (lockstep with
-                    # submit()).
-                    continue
-                self._pending_seqs.append(record.seq)
-                if self.policy.should_optimize(self.pending):
-                    self.flush()
+                    # and tracks no seq for it.
+                    pass
             if op.recording:
                 op.set(
                     records=len(records),

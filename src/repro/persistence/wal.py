@@ -100,11 +100,11 @@ class WalRecord:
     """One durable vote: its sequence number and the vote itself.
 
     ``links`` optionally captures the voted query's out-link mapping
-    (``((entity, weight), ...)``) at submit time.  The concurrent
-    ingest path records it so recovery can re-attach tail-vote queries
-    to the graph before replaying them — a vote logged just before a
-    crash may reference a query node no snapshot ever saw.  Plain
-    single-threaded submits leave it ``None``; old logs parse fine.
+    (``((entity, weight), ...)``) at submit time.  Both ingest paths
+    record it so recovery can re-attach tail-vote queries to the graph
+    before replaying them — a vote logged just before a crash may
+    reference a query node no snapshot ever saw, or one re-linked since
+    the snapshot.  Old logs without it parse fine.
     """
 
     seq: int

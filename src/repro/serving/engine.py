@@ -52,13 +52,13 @@ Batched serving (:meth:`score_batch`) stacks the seed vectors of many
 queries into one dense block and shares the ``L`` sparse matrix
 products, mirroring :func:`repro.similarity.inverse_pdistance.inverse_pdistance_batch`.
 
-Propagation itself is pluggable: the engine resolves
-``params.backend`` through the :mod:`repro.similarity.backend`
-registry.  The default ``"dense"`` backend reproduces the historical
-dense DP bitwise; the ``"push"`` backend
-(:mod:`repro.similarity.push`) serves from a sparse residual frontier
-over an epoch's out-edge CSR, touching only edges near the query.
-Push results carry their touched-node set and derived error bound,
+A miss runs one of the two kernels of :mod:`repro.similarity.backend`,
+named by ``params.backend``.  The ``"dense"`` kernel is bitwise a cold
+:func:`~repro.similarity.inverse_pdistance.inverse_pdistance`
+recompute; the ``"push"`` kernel (:mod:`repro.similarity.push`)
+serves from a sparse residual frontier over an epoch's out-edge CSR,
+touching only edges near the query.  Push results carry their
+touched-node set and derived error bound,
 which lets a weight patch repair push entries the way delta
 propagation repairs dense vectors: a cached push entry whose touched
 set avoids every patched edge head is provably still within its error
@@ -96,7 +96,7 @@ from repro.serving.delta import (
 )
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.utils.sync import mutator, serve_path
-from repro.similarity.backend import PropagationBackend, resolve_backend
+from repro.similarity.backend import DenseBackend, PushBackend
 from repro.similarity.push import PropagationResult, amplification_bound
 from repro.similarity.ranking import rank_vector, repr_order
 
@@ -116,6 +116,10 @@ REPUSH_STORM_THRESHOLD = 8
 
 #: Distinguishes the metric series of multiple engines in one process.
 _ENGINE_SEQ = itertools.count()
+
+#: The kernels a miss runs, by ``params.backend``.
+_DENSE = DenseBackend()
+_PUSH = PushBackend()
 
 #: One LRU entry: the frozen score vector, plus the push result that
 #: produced it (touched set + error accounting) or ``None``.
@@ -743,27 +747,16 @@ class SimilarityEngine:
     def _cold_vector(
         self,
         epoch: _Epoch,
-        links: "tuple[tuple[Node, float], ...]",
+        links: Mapping[Node, float],
         target_idx: np.ndarray,
-        max_length: int,
-        restart_prob: float,
+        params: SimilarityParams,
     ) -> np.ndarray:
-        """Un-instrumented reference DP, for contract checking only."""
-        matrix = epoch.matrix
-        mass = np.zeros(matrix.shape[0])
-        for entity, weight in links:
-            mass[epoch.index[entity]] = weight
-        damping = 1.0 - restart_prob
-        factor = restart_prob * damping
-        scores = np.zeros(len(target_idx))
-        scores += factor * mass[target_idx]
-        for _ in range(max_length - 1):
-            mass = matrix @ mass
-            factor *= damping
-            if not mass.any():
-                break
-            scores += factor * mass[target_idx]
-        return scores
+        """The dense kernel's vector outside any operation, for contract
+        checking only."""
+        seed_idx, seed_weights = self._seed_arrays(epoch, links)
+        return _DENSE.propagate(
+            epoch.matrix, seed_idx, seed_weights, target_idx, params=params
+        ).scores
 
     def _delta_revalidate(
         self,
@@ -775,7 +768,7 @@ class SimilarityEngine:
         """Fill the patched ``epoch``'s LRU with repaired predecessor entries.
 
         ``entries`` (the predecessor's LRU) are partitioned by the
-        backend that produced each (``key[0]``):
+        kernel that produced each (``key[0]``):
 
         - **dense** entries receive the exact delta-propagation
           correction; a :class:`~repro.serving.delta.DeltaFallbackError`
@@ -786,9 +779,7 @@ class SimilarityEngine:
           in the entry's touched set and the amplification bound ρ did
           not grow, so both the computed mass and the dropped-mass
           error accounting are unchanged — and are re-pushed locally on
-          the patched matrix otherwise;
-        - entries of any other (third-party) backend are dropped:
-          the engine knows no repair rule for them.
+          the patched matrix otherwise.
         """
         matrix = epoch.matrix
         deltas = matrix.data[positions] - old_values
@@ -858,7 +849,13 @@ class SimilarityEngine:
                             check_delta_scores(
                                 vector,
                                 self._cold_vector(
-                                    epoch, links, target_idx, length, restart_prob
+                                    epoch,
+                                    dict(links),
+                                    target_idx,
+                                    SimilarityParams(
+                                        max_length=length,
+                                        restart_prob=restart_prob,
+                                    ),
                                 ),
                                 seam="engine.delta",
                             )
@@ -914,7 +911,6 @@ class SimilarityEngine:
                     key[:6]
                 )
                 try:
-                    backend = resolve_backend(backend_name)
                     target_idx = np.fromiter(
                         (index[target] for target in targets),
                         dtype=np.int64,
@@ -930,16 +926,15 @@ class SimilarityEngine:
                             backend=backend_name,
                             push_tolerance=float(tol),
                         ),
-                        backend,
                     )
-                except (KeyError, EvaluationError):
+                except KeyError:
                     continue
                 self._m_push_repushes.inc()
                 repushed[key] = result
             if kept:
                 self._m_push_rekeys.inc(len(kept))
         # Refill in LRU order; entries with no repair rule (dense after a
-        # fallback, failed re-pushes, unknown backends) simply fall out.
+        # fallback, failed re-pushes) simply fall out.
         for key, (vector, result) in entries:
             if key in corrected:
                 epoch.store(key, corrected[key])
@@ -1062,11 +1057,10 @@ class SimilarityEngine:
         links: Mapping[Node, float],
         target_idx: np.ndarray,
         params: SimilarityParams,
-        backend: PropagationBackend,
     ) -> np.ndarray:
-        """One matrix-level propagation with the first step pre-seeded.
+        """One dense propagation with the first step pre-seeded.
 
-        The dense backend mirrors
+        The dense kernel mirrors
         :func:`repro.similarity.inverse_pdistance.inverse_pdistance`
         operation-for-operation from ``t = 1`` on, so the result is
         bitwise equal to a cold recompute on the full graph.
@@ -1078,7 +1072,7 @@ class SimilarityEngine:
             max_length=params.max_length,
         ):
             seed_idx, seed_weights = self._seed_arrays(epoch, links)
-            result = backend.propagate(
+            result = _DENSE.propagate(
                 epoch.matrix, seed_idx, seed_weights, target_idx, params=params
             )
         return result.scores
@@ -1089,7 +1083,6 @@ class SimilarityEngine:
         link_columns: Sequence[Mapping[Node, float]],
         target_idx: np.ndarray,
         params: SimilarityParams,
-        backend,
     ) -> np.ndarray:
         """Stacked propagation: one dense block, ``L`` sparse products."""
         with observe(
@@ -1101,7 +1094,7 @@ class SimilarityEngine:
             seed_columns = [
                 self._seed_arrays(epoch, links) for links in link_columns
             ]
-            result = backend.propagate_batch(
+            result = _DENSE.propagate_batch(
                 epoch.matrix, seed_columns, target_idx, params=params
             )
         return result.scores
@@ -1112,7 +1105,6 @@ class SimilarityEngine:
         links: Mapping[Node, float],
         target_idx: np.ndarray,
         params: SimilarityParams,
-        backend: PropagationBackend,
     ) -> PropagationResult:
         """One local-push evaluation against ``epoch``'s out-CSR.
 
@@ -1127,13 +1119,12 @@ class SimilarityEngine:
         ) as op:
             out_matrix, _, rho = epoch.push_state()
             seed_idx, seed_weights = self._seed_arrays(epoch, links)
-            result = backend.propagate(
-                epoch.matrix,
+            result = _PUSH.propagate(
+                out_matrix,
                 seed_idx,
                 seed_weights,
                 target_idx,
                 params=params,
-                out_matrix=out_matrix,
                 rho=rho,
             )
             if op.recording:
@@ -1146,13 +1137,7 @@ class SimilarityEngine:
         if contracts_enabled():
             check_push_scores(
                 result.scores,
-                self._cold_vector(
-                    epoch,
-                    tuple(links.items()),
-                    target_idx,
-                    params.max_length,
-                    params.restart_prob,
-                ),
+                self._cold_vector(epoch, links, target_idx, params),
                 budget=result.error_bound,
                 seam="engine.push",
             )
@@ -1164,26 +1149,18 @@ class SimilarityEngine:
         links: Mapping[Node, float],
         target_idx: np.ndarray,
         params: SimilarityParams,
-        backend: PropagationBackend,
     ) -> tuple[np.ndarray, "PropagationResult | None"]:
         """One query's scores on a cache miss, and its push result if any.
 
-        Local push for a backend that reads the out-edge CSR (counting
-        one push serve), the backend's matrix kernel otherwise; a
-        backend with neither cannot serve from an epoch.
+        Local push (counting one push serve) for the ``"push"`` kernel,
+        one dense propagation for ``"dense"``.
         """
         self._check_links(epoch, links)
-        if getattr(backend, "uses_out_matrix", False):
-            result = self._push_compute(epoch, links, target_idx, params, backend)
+        if params.backend == "push":
+            result = self._push_compute(epoch, links, target_idx, params)
             self._m_push_serves.inc()
             return result.scores, result
-        if getattr(backend, "supports_matrix", False):
-            return self._propagate_one(epoch, links, target_idx, params, backend), None
-        raise EvaluationError(
-            f"backend {params.backend!r} has no matrix-level kernel; use the "
-            f"graph-level API (repro.similarity.backend.get_backend("
-            f"{params.backend!r}).scores(...) or .scores_batch(...)) instead"
-        )
+        return self._propagate_one(epoch, links, target_idx, params), None
 
     @staticmethod
     def _check_links(epoch: _Epoch, links: Mapping[Node, float]) -> None:
@@ -1205,7 +1182,6 @@ class SimilarityEngine:
         own cost and accuracy.
         """
         with observe("engine.serve") as op:
-            backend = resolve_backend(params)
             self._m_serves.inc()
             epoch = self._serving_epoch()
             target_list = self._resolve_targets(epoch, targets)
@@ -1215,9 +1191,7 @@ class SimilarityEngine:
             result: "PropagationResult | None" = None
             if vector is None:
                 target_idx = self._target_indices(epoch, target_list)
-                vector, result = self._miss(
-                    epoch, links, target_idx, params, backend
-                )
+                vector, result = self._miss(epoch, links, target_idx, params)
                 self._cache_put(epoch, key, vector, result)
             if op.recording:
                 op.set(
@@ -1278,7 +1252,6 @@ class SimilarityEngine:
         one stacked propagation (``L`` sparse-dense products total).
         """
         params = params if params is not None else self.params
-        backend = resolve_backend(params)
         query_list = list(queries)
         if not query_list:
             return {}
@@ -1301,11 +1274,7 @@ class SimilarityEngine:
                     pending.append(query)
             if pending:
                 target_idx = self._target_indices(epoch, target_list)
-                if (
-                    not getattr(backend, "uses_out_matrix", False)
-                    and getattr(backend, "supports_matrix", False)
-                    and hasattr(backend, "propagate_batch")
-                ):
+                if params.backend == "dense":
                     # Dense misses share one stacked block.  Push
                     # localizes per query, so it has no block to stack.
                     for query in pending:
@@ -1315,7 +1284,6 @@ class SimilarityEngine:
                         [links_by_query[q] for q in pending],
                         target_idx,
                         params,
-                        backend,
                     )
                     for column, query in enumerate(pending):
                         vector = vectors[query] = block[:, column].copy()
@@ -1323,7 +1291,7 @@ class SimilarityEngine:
                 else:
                     for query in pending:
                         vector, result = self._miss(
-                            epoch, links_by_query[query], target_idx, params, backend
+                            epoch, links_by_query[query], target_idx, params
                         )
                         vectors[query] = vector
                         self._cache_put(epoch, keys[query], vector, result)

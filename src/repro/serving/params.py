@@ -6,9 +6,9 @@ copy-pasted as three keyword arguments through every layer of the stack
 (``QASystem``, ``rank_answers``, the evaluation harness, and the three
 optimization drivers).  :class:`SimilarityParams` replaces the triple
 with one validated, immutable value object that is threaded through all
-of them, and since the backend registry it also carries the kernel
-selection (:attr:`SimilarityParams.backend` plus the push backend's
-:attr:`SimilarityParams.push_tolerance`).
+of them.  It also names the propagation kernel
+(:attr:`SimilarityParams.backend`, ``"dense"`` or ``"push"``) and the
+push kernel's error budget (:attr:`SimilarityParams.push_tolerance`).
 
 The PR-1 era bare keyword arguments went through a one-release
 ``DeprecationWarning`` shim and are now hard errors:
@@ -47,16 +47,14 @@ class SimilarityParams:
     restart_prob:
         The restart probability ``c`` (Section III-A, default 0.15).
     backend:
-        Name of the propagation backend resolved through
-        :func:`repro.similarity.backend.resolve_backend` —
+        The propagation kernel, by the name
+        :func:`repro.similarity.backend.get_backend` returns it under:
         ``"dense"`` (default, the reference DP) or ``"push"`` (the
-        sparse local-push evaluator); third-party registrations are
-        selectable by their registered name.  Validated against the
-        registry at resolution time, not here, so params objects can be
-        built before a plugin backend registers itself.
+        sparse local-push evaluator).  Any other value raises
+        ``ValueError`` here.
     push_tolerance:
-        The push backend's per-target absolute error budget ε
-        (``0`` = exact push; ignored by other backends).
+        The push kernel's per-target absolute error budget ε
+        (``0`` = exact push; ignored by the dense kernel).
 
     The object is frozen and hashable, so it can key caches and travel
     through multiprocessing payloads unchanged.
@@ -76,10 +74,9 @@ class SimilarityParams:
                 f"max_length must be at least 1, got {self.max_length}"
             )
         check_fraction("restart_prob", self.restart_prob)
-        if not isinstance(self.backend, str) or not self.backend:
+        if self.backend not in ("dense", "push"):
             raise ValueError(
-                f"backend must be a non-empty backend name, got "
-                f"{self.backend!r}"
+                f"backend must be 'dense' or 'push', got {self.backend!r}"
             )
         if not self.push_tolerance >= 0.0:  # also rejects NaN
             raise ValueError(

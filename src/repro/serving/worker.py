@@ -50,10 +50,10 @@ the single-threaded loop would have run on the live graph.
 
 Crash safety composes with the WAL exactly as in durable single-thread
 mode: :meth:`OptimizerWorker.submit` logs the vote (with the query's
-out-links, so recovery can re-attach queries no snapshot saw) *before*
-enqueueing it — log before enqueue — and each publication checkpoints
-the shadow graph stamped with the batch's last WAL sequence — snapshot
-on publish.  A crash between the two replays the batch
+out-links, so recovery can re-attach queries no snapshot saw or that
+were re-linked since) *before* enqueueing it — log before enqueue —
+and each publication checkpoints the shadow graph stamped with the
+batch's last WAL sequence — snapshot on publish.  A crash between the two replays the batch
 deterministically from the WAL tail.
 
 Supported topology: one ingest/serve thread plus one worker thread.
@@ -502,22 +502,9 @@ class OptimizerWorker:
             self._refresh_lag()
 
     def _buffer_item(self, item: IngestItem) -> None:
-        """Attach the voted query to the shadow, buffer, maybe publish."""
-        shadow = self._online.aug
-        if item.links is not None:
-            # The solve must see the links the vote was cast against.
-            # Only touch the shadow when they actually differ (a
-            # replaced, re-asked question): a gratuitous detach/attach
-            # would move the query to the end of the node ordering and
-            # de-sync the solver's float arithmetic from what a
-            # single-threaded run over the original graph produces.
-            query = item.vote.query
-            if not shadow.is_query(query):
-                shadow.add_query(query, dict(item.links))
-            elif tuple(shadow.query_links(query).items()) != item.links:
-                shadow.remove_query(query)
-                shadow.add_query(query, dict(item.links))
-        outcome = self._online.buffer(item.vote, seq=item.seq)
+        """Buffer the vote on the shadow (attaching its query from the
+        captured links), maybe publish."""
+        outcome = self._online.buffer(item.vote, seq=item.seq, links=item.links)
         if outcome is not None:
             self._publish(outcome)
 

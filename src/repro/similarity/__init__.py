@@ -17,10 +17,11 @@ Four evaluators, all measuring the paper's query–answer similarity
   ranked by :func:`repro.similarity.ranking.rank_vector` with its
   deterministic tie rule.
 
-Kernel selection goes through :mod:`repro.similarity.backend`: the
-:class:`~repro.similarity.backend.PropagationBackend` protocol plus a
-name-keyed registry (``dense`` / ``push`` / ``ppr`` / ``random_walk``),
-resolved from :attr:`repro.serving.params.SimilarityParams.backend`.
+The paper's similarity is served by one of two kernels,
+:class:`~repro.similarity.backend.DenseBackend` (``"dense"``) and
+:class:`~repro.similarity.backend.PushBackend` (``"push"``):
+:func:`~repro.similarity.backend.get_backend` returns the one
+:attr:`repro.serving.params.SimilarityParams.backend` names.
 """
 
 from repro.similarity.ppr import ppr_scores, ppr_vector
@@ -39,14 +40,7 @@ from repro.similarity.push import (
     PropagationResult,
     push_propagate,
 )
-from repro.similarity.backend import (
-    PropagationBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.similarity.backend import get_backend
 from repro.similarity.simrank import simrank, simrank_matrix
 from repro.similarity.top_k import rank_answers, rank_position
 
@@ -62,12 +56,7 @@ __all__ = [
     "DEFAULT_PUSH_TOLERANCE",
     "PropagationResult",
     "push_propagate",
-    "PropagationBackend",
-    "register_backend",
-    "unregister_backend",
     "get_backend",
-    "available_backends",
-    "resolve_backend",
     "simrank",
     "simrank_matrix",
     "rank_answers",

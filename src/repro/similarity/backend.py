@@ -1,142 +1,55 @@
-"""Pluggable propagation backends behind one protocol + registry.
+"""The two propagation kernels, selected by name.
 
-Every similarity kernel in the repository — the dense truncated
-inverse-P-distance DP, the sparse local-push evaluator, exact PPR, and
-the per-answer random-walk baseline — is reachable through one seam:
-:class:`PropagationBackend`.  Callers select a kernel by *name* via
-:attr:`repro.serving.params.SimilarityParams.backend` and resolve it
-with :func:`resolve_backend`; nothing outside :mod:`repro.similarity`
+The paper serves one similarity, the extended inverse P-distance
+truncated at walk length ``L`` (Eq. 7), and evaluates it with one of
+two kernels:
+
+- ``"dense"`` -- :class:`DenseBackend`, the reference dynamic program
+  (Section IV-A): ``L`` sparse mat-vecs over the whole graph;
+- ``"push"`` -- :class:`PushBackend`, the sparse local-push evaluator
+  (:mod:`repro.similarity.push`), whose per-query work scales with the
+  query's ``L``-hop out-neighborhood, within ``params.push_tolerance``
+  of dense.
+
+:attr:`repro.serving.params.SimilarityParams.backend` names one and
+:func:`get_backend` returns it; nothing outside :mod:`repro.similarity`
 calls the kernel functions directly (lint rule R006 enforces this).
-
-Third-party kernels plug in without touching core modules::
-
-    from repro.similarity.backend import register_backend
-
-    class MyKernel:
-        name = "mine"
-        supports_matrix = False
-        def scores(self, graph, source, targets, *, params): ...
-        def scores_batch(self, graph, sources, targets, *, params): ...
-
-    register_backend(MyKernel())
-
-Two capability levels exist:
-
-- **graph-level** (``scores`` / ``scores_batch``): evaluate against a
-  :class:`~repro.graph.digraph.WeightedDiGraph`; every backend has it.
-- **matrix-level** (``supports_matrix = True``, ``propagate`` /
-  ``propagate_batch``): evaluate against the serving engine's
-  incremental CSR with pre-seeded residuals.  Only backends that
-  compute the truncated inverse P-distance semantics may claim it —
-  the engine's cache, delta revalidation, and contracts all assume it.
-  Backends with ``uses_out_matrix = True`` (push) receive the engine's
-  maintained out-edge CSR and amplification bound instead of
-  re-deriving them per call.
+Each kernel scores on a :class:`~repro.graph.digraph.WeightedDiGraph`
+(``scores`` / ``scores_batch``) and, through ``propagate``, on the
+serving engine's CSR with the query's first step pre-seeded.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import NodeNotFoundError, SimilarityError, UnknownBackendError
+from repro.errors import NodeNotFoundError, UnknownBackendError
 from repro.graph.digraph import Node, WeightedDiGraph
 from repro.similarity.inverse_pdistance import (
     inverse_pdistance,
     inverse_pdistance_batch,
 )
-from repro.similarity.ppr import ppr_scores
 from repro.similarity.push import (
     PropagationResult,
     amplification_bound,
     out_adjacency,
     push_propagate,
 )
-from repro.similarity.random_walk import random_walk_similarity
 
 if TYPE_CHECKING:  # params imports this package; annotation-only import
     from repro.serving.params import SimilarityParams
 
 __all__ = [
-    "PropagationBackend",
     "PropagationResult",
     "UnknownBackendError",
     "DenseBackend",
     "PushBackend",
-    "PPRBackend",
-    "RandomWalkBackend",
-    "register_backend",
-    "unregister_backend",
     "get_backend",
-    "available_backends",
-    "resolve_backend",
 ]
-
-
-@runtime_checkable
-class PropagationBackend(Protocol):
-    """The kernel seam: graph-level scoring plus optional matrix-level.
-
-    ``name`` keys the registry; ``supports_matrix`` advertises whether
-    :meth:`propagate` works (backends without it raise
-    :class:`~repro.errors.SimilarityError` there, and the serving
-    engine refuses them up front).
-    """
-
-    name: str
-    supports_matrix: bool
-
-    def scores(
-        self,
-        graph: WeightedDiGraph,
-        source: Node,
-        targets: Iterable[Node],
-        *,
-        params: "SimilarityParams",
-    ) -> dict[Node, float]:
-        """``{target: score}`` for one source on a live graph."""
-        ...  # pragma: no cover - protocol
-
-    def scores_batch(
-        self,
-        graph: WeightedDiGraph,
-        sources: Iterable[Node],
-        targets: Iterable[Node],
-        *,
-        params: "SimilarityParams",
-    ) -> dict[Node, dict[Node, float]]:
-        """``{source: {target: score}}`` for many sources at once."""
-        ...  # pragma: no cover - protocol
-
-    def propagate(
-        self,
-        matrix: sparse.csr_matrix,
-        seed_idx: np.ndarray,
-        seed_weights: np.ndarray,
-        target_idx: np.ndarray,
-        *,
-        params: "SimilarityParams",
-        out_matrix: "sparse.csr_matrix | None" = None,
-        rho: "float | None" = None,
-    ) -> PropagationResult:
-        """Matrix-level evaluation with the first step pre-seeded.
-
-        ``matrix`` is the engine's in-edge CSR (``M[i, j] = w(v_j →
-        v_i)``); the seed is the query's out-link weights at their
-        entity indices.  ``out_matrix``/``rho`` are engine-maintained
-        push state, only meaningful to ``uses_out_matrix`` backends.
-        """
-        ...  # pragma: no cover - protocol
-
-
-def _no_matrix_kernel(name: str) -> SimilarityError:
-    return SimilarityError(
-        f"backend {name!r} has no matrix-level kernel "
-        f"(supports_matrix=False); it cannot serve through the engine"
-    )
 
 
 def _source_out_links(
@@ -156,15 +69,11 @@ def _source_out_links(
 class DenseBackend:
     """The reference dense dynamic program (Eq. 7, Section IV-A).
 
-    Matrix-level propagation mirrors the engine's historical loop
-    operation-for-operation, so engine results stay bitwise equal to a
-    cold :func:`~repro.similarity.inverse_pdistance.inverse_pdistance`
-    recompute.
+    :meth:`propagate` mirrors
+    :func:`~repro.similarity.inverse_pdistance.inverse_pdistance`
+    operation for operation from ``t = 1`` on, so the engine's dense
+    serves are bitwise equal to a cold recompute.
     """
-
-    name = "dense"
-    supports_matrix = True
-    uses_out_matrix = False
 
     def scores(
         self,
@@ -194,9 +103,10 @@ class DenseBackend:
         target_idx: np.ndarray,
         *,
         params: "SimilarityParams",
-        out_matrix: "sparse.csr_matrix | None" = None,
-        rho: "float | None" = None,
     ) -> PropagationResult:
+        """Scores at ``target_idx`` of the in-edge CSR ``matrix``
+        (``M[i, j] = w(v_j → v_i)``), seeded with a query's out-link
+        weights at their entity indices."""
         mass = np.zeros(matrix.shape[0])
         mass[seed_idx] = seed_weights
         damping = 1.0 - params.restart_prob
@@ -253,10 +163,6 @@ class PushBackend:
     budget ``params.push_tolerance`` (exactly, when it is 0); per-query
     work scales with the query's ``L``-hop out-neighborhood.
     """
-
-    name = "push"
-    supports_matrix = True
-    uses_out_matrix = True
 
     def scores(
         self,
@@ -332,17 +238,16 @@ class PushBackend:
 
     def propagate(
         self,
-        matrix: sparse.csr_matrix,
+        out_matrix: sparse.csr_matrix,
         seed_idx: np.ndarray,
         seed_weights: np.ndarray,
         target_idx: np.ndarray,
         *,
         params: "SimilarityParams",
-        out_matrix: "sparse.csr_matrix | None" = None,
-        rho: "float | None" = None,
+        rho: float,
     ) -> PropagationResult:
-        if out_matrix is None:
-            out_matrix = out_adjacency(matrix)
+        """Local push over the out-edge CSR ``out_matrix`` with its
+        amplification bound ``rho``, both kept by the serving epoch."""
         return push_propagate(
             out_matrix,
             seed_idx,
@@ -355,178 +260,24 @@ class PushBackend:
         )
 
 
-class PPRBackend:
-    """Exact Personalized PageRank (:mod:`repro.similarity.ppr`).
-
-    The un-truncated stationary score — ``params.max_length`` is
-    ignored (PPR sums all walk lengths); graph-level only.
-    """
-
-    name = "ppr"
-    supports_matrix = False
-
-    def scores(
-        self,
-        graph: WeightedDiGraph,
-        source: Node,
-        targets: Iterable[Node],
-        *,
-        params: "SimilarityParams",
-    ) -> dict[Node, float]:
-        return ppr_scores(
-            graph, source, targets, restart_prob=params.restart_prob
-        )
-
-    def scores_batch(
-        self,
-        graph: WeightedDiGraph,
-        sources: Iterable[Node],
-        targets: Iterable[Node],
-        *,
-        params: "SimilarityParams",
-    ) -> dict[Node, dict[Node, float]]:
-        target_list = list(targets)
-        return {
-            source: self.scores(graph, source, target_list, params=params)
-            for source in sources
-        }
-
-    def propagate(
-        self,
-        matrix: sparse.csr_matrix,
-        seed_idx: np.ndarray,
-        seed_weights: np.ndarray,
-        target_idx: np.ndarray,
-        *,
-        params: "SimilarityParams",
-        out_matrix: "sparse.csr_matrix | None" = None,
-        rho: "float | None" = None,
-    ) -> PropagationResult:
-        raise _no_matrix_kernel(self.name)
+_BACKENDS: dict[str, "DenseBackend | PushBackend"] = {
+    "dense": DenseBackend(),
+    "push": PushBackend(),
+}
 
 
-class RandomWalkBackend:
-    """The per-answer linear-equation baseline of [5] (Table VI).
-
-    ``params.max_length`` is ignored (the baseline solves the full
-    stationary system per answer); graph-level only.
-    """
-
-    name = "random_walk"
-    supports_matrix = False
-
-    def scores(
-        self,
-        graph: WeightedDiGraph,
-        source: Node,
-        targets: Iterable[Node],
-        *,
-        params: "SimilarityParams",
-    ) -> dict[Node, float]:
-        return random_walk_similarity(
-            graph, source, targets, restart_prob=params.restart_prob
-        )
-
-    def scores_batch(
-        self,
-        graph: WeightedDiGraph,
-        sources: Iterable[Node],
-        targets: Iterable[Node],
-        *,
-        params: "SimilarityParams",
-    ) -> dict[Node, dict[Node, float]]:
-        target_list = list(targets)
-        return {
-            source: self.scores(graph, source, target_list, params=params)
-            for source in sources
-        }
-
-    def propagate(
-        self,
-        matrix: sparse.csr_matrix,
-        seed_idx: np.ndarray,
-        seed_weights: np.ndarray,
-        target_idx: np.ndarray,
-        *,
-        params: "SimilarityParams",
-        out_matrix: "sparse.csr_matrix | None" = None,
-        rho: "float | None" = None,
-    ) -> PropagationResult:
-        raise _no_matrix_kernel(self.name)
-
-
-# ----------------------------------------------------------------------
-# the registry
-# ----------------------------------------------------------------------
-_REGISTRY: dict[str, PropagationBackend] = {}
-
-
-def register_backend(
-    backend: PropagationBackend, *, replace: bool = False
-) -> PropagationBackend:
-    """Register ``backend`` under its ``name``; returns it for chaining.
-
-    Re-registering the *same* object is a no-op; registering a
-    different object under a taken name raises ``ValueError`` unless
-    ``replace=True`` (so a typo cannot silently shadow a kernel).
-    """
-    name = getattr(backend, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ValueError(
-            f"backend {backend!r} must expose a non-empty string 'name'"
-        )
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not backend and not replace:
-        raise ValueError(
-            f"backend name {name!r} is already registered "
-            f"({existing!r}); pass replace=True to override"
-        )
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> PropagationBackend:
-    """Remove and return the backend registered under ``name``."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown propagation backend {name!r}; "
-            f"registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def get_backend(name: str) -> PropagationBackend:
-    """Look up a backend by name.
+def get_backend(name: str) -> "DenseBackend | PushBackend":
+    """The kernel named ``name``: ``"dense"`` or ``"push"``.
 
     Raises
     ------
     UnknownBackendError
-        When no backend is registered under ``name``.
+        For any other name.
     """
     try:
-        return _REGISTRY[name]
+        return _BACKENDS[name]
     except KeyError:
         raise UnknownBackendError(
-            f"unknown propagation backend {name!r}; "
-            f"registered: {sorted(_REGISTRY)}"
+            f"unknown propagation backend {name!r}; the kernels are "
+            f"{sorted(_BACKENDS)}"
         ) from None
-
-
-def available_backends() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_backend(
-    selector: "str | SimilarityParams",
-) -> PropagationBackend:
-    """Resolve a backend from a name or a ``SimilarityParams``."""
-    name = selector if isinstance(selector, str) else selector.backend
-    return get_backend(name)
-
-
-register_backend(DenseBackend())
-register_backend(PushBackend())
-register_backend(PPRBackend())
-register_backend(RandomWalkBackend())

@@ -14,7 +14,7 @@ from repro.errors import EvaluationError
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
 from repro.serving.params import SimilarityParams, resolve_similarity_params
-from repro.similarity.backend import resolve_backend
+from repro.similarity.backend import get_backend
 from repro.similarity.ranking import rank_vector, repr_order
 
 
@@ -84,7 +84,7 @@ def rank_answers(
     if engine is not None:
         ranked = engine.top_k(query, targets=candidates, params=params)
     else:
-        scores = resolve_backend(params).scores(
+        scores = get_backend(params.backend).scores(
             aug.graph, query, candidates, params=params
         )
         ranked = scores_to_ranked_list(scores)[: params.k]

@@ -31,7 +31,7 @@ from repro.obs import get_registry
 from repro.graph.augmented import AugmentedGraph
 from repro.paths.edgesets import reachable_edge_set
 from repro.serving.params import SimilarityParams
-from repro.similarity.backend import resolve_backend
+from repro.similarity.backend import get_backend
 from repro.similarity.inverse_pdistance import (
     DEFAULT_MAX_LENGTH,
     DEFAULT_RESTART_PROB,
@@ -90,7 +90,7 @@ def is_vote_feasible(
     params = SimilarityParams(
         max_length=max_length, restart_prob=restart_prob
     )
-    scores = resolve_backend(params).scores(
+    scores = get_backend(params.backend).scores(
         extreme, vote.query, [vote.best_answer, rival], params=params
     )
     return scores[vote.best_answer] > scores[rival]

@@ -53,6 +53,31 @@ def kg_weights(aug):
     return {edge.key: edge.weight for edge in aug.kg_edges()}
 
 
+def relink(aug, query):
+    """Re-attach ``query`` to two other entities, as re-asking it would."""
+    linked = aug.query_links(query)
+    others = [e for e in sorted(aug.entity_nodes, key=repr) if e not in linked]
+    aug.remove_query(query)
+    aug.add_query(query, {entity: 1 for entity in others[:2]})
+
+
+def relinked_run():
+    """KG weights of an uncrashed run that re-links a query mid-stream.
+
+    The 4th vote's query is re-linked after the first batch, before the
+    2nd batch's votes arrive; the run ends after the 2nd batch.
+    """
+    aug, votes = build_scenario()
+    online = OnlineOptimizer(aug, policy=CountPolicy(BATCH_SIZE))
+    for vote in votes[:BATCH_SIZE]:
+        online.submit(vote)
+    relink(aug, votes[BATCH_SIZE].query)
+    for vote in votes[BATCH_SIZE : 2 * BATCH_SIZE]:
+        online.submit(vote)
+    assert len(online.history) == 2
+    return kg_weights(aug)
+
+
 def single_threaded_replay(num_queries=8):
     """The scenario's vote stream through one in-process optimizer.
 

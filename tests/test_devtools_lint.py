@@ -246,10 +246,10 @@ class TestR006:
     def test_backend_resolution_clean(self):
         assert rules_of(
             """
-            from repro.similarity.backend import resolve_backend
+            from repro.similarity.backend import get_backend
 
             def f(graph, query, targets, params):
-                return resolve_backend(params).scores(
+                return get_backend(params.backend).scores(
                     graph, query, targets, params=params
                 )
             """
@@ -257,7 +257,7 @@ class TestR006:
 
     def test_import_alone_clean(self):
         # Importing constants from the kernel module is fine; only
-        # *calls* bypass the backend registry.
+        # *calls* bypass get_backend.
         assert rules_of(
             "from repro.similarity.inverse_pdistance import DEFAULT_MAX_LENGTH\n"
         ) == []

@@ -9,7 +9,13 @@ from repro.qa import QASystem, build_knowledge_graph, generate_helpdesk_corpus
 from repro.serving import SimilarityParams
 from repro.votes import VoteSet
 from repro.votes.stream import CountPolicy
-from tests.durable_scenario import BATCH_SIZE, build_scenario, kg_weights
+from tests.durable_scenario import (
+    BATCH_SIZE,
+    build_scenario,
+    kg_weights,
+    relink,
+    relinked_run,
+)
 
 
 class TestDurableOnlineLoop:
@@ -121,6 +127,42 @@ class TestDurableOnlineLoop:
                 store, policy=CountPolicy(BATCH_SIZE)
             )
             assert list(recovered.pending.votes) == [votes[BATCH_SIZE]]
+
+
+    def test_recover_relinks_query_relinked_after_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """A query re-linked after the last snapshot is replayed re-linked.
+
+        Batch 1 is checkpointed, the 4th vote's query is re-linked, and
+        the process dies in batch 2's solve: votes 4-6 are logged but
+        never applied.  Replay must solve batch 2 against the re-linked
+        query, as the uncrashed run did.
+        """
+        aug, votes = build_scenario()
+        with DurableStore(tmp_path) as store:
+            online = OnlineOptimizer(
+                aug, policy=CountPolicy(BATCH_SIZE), store=store
+            )
+            for vote in votes[:BATCH_SIZE]:
+                online.submit(vote)
+            relink(aug, votes[BATCH_SIZE].query)
+
+            def crash(*args, **kwargs):
+                raise SGPSolverError("process killed mid-solve")
+
+            monkeypatch.setattr("repro.optimize.online.solve_multi_vote", crash)
+            with pytest.raises(SGPSolverError):
+                for vote in votes[BATCH_SIZE : 2 * BATCH_SIZE]:
+                    online.submit(vote)
+            monkeypatch.undo()
+
+        with DurableStore(tmp_path) as store:
+            recovered = OnlineOptimizer.recover(
+                store, policy=CountPolicy(BATCH_SIZE)
+            )
+        assert len(recovered.history) == 1
+        assert kg_weights(recovered.aug) == relinked_run()
 
 
 class DedupingVoteSet(VoteSet):

@@ -43,6 +43,8 @@ from tests.durable_scenario import (
     BATCH_SIZE,
     build_scenario,
     kg_weights,
+    relink,
+    relinked_run,
     single_threaded_replay,
 )
 from tests.engine_series import engine_series
@@ -355,6 +357,46 @@ class TestWorkerDurability:
         assert [v.query for v in recovered.pending.votes] == [
             v.query for v in votes[:BATCH_SIZE]
         ]
+
+    def test_recovery_relinks_query_relinked_after_checkpoint(
+        self, registry, tmp_path
+    ):
+        """A query re-linked after the last publish is replayed re-linked.
+
+        Batch 1 is published and checkpointed, the 4th vote's query is
+        re-linked on the live graph, and votes 4-6 are logged but the
+        process dies before the worker ingests them.  Replay must solve
+        batch 2 against the re-linked query, as the uncrashed run did.
+        """
+        aug, votes = build_scenario()
+        with DurableStore(tmp_path) as store:
+            worker = OptimizerWorker(
+                aug,
+                store=store,
+                policy=CountPolicy(BATCH_SIZE),
+                registry=registry,
+            )
+            with worker:
+                for vote in votes[:BATCH_SIZE]:
+                    worker.submit(vote)
+            assert worker.last_error is None
+            assert store.snapshots.newest_seq() == BATCH_SIZE
+            relink(aug, votes[BATCH_SIZE].query)
+            # Logged on the caller's thread; the worker never runs.
+            doomed = OptimizerWorker(
+                aug,
+                store=store,
+                policy=CountPolicy(BATCH_SIZE),
+                registry=registry,
+            )
+            for vote in votes[BATCH_SIZE : 2 * BATCH_SIZE]:
+                doomed.submit(vote)
+        with DurableStore(tmp_path) as reopened:
+            recovered = OnlineOptimizer.recover(
+                reopened, policy=CountPolicy(BATCH_SIZE)
+            )
+        assert len(recovered.history) == 1
+        assert kg_weights(recovered.aug) == relinked_run()
 
     def test_from_online_adopts_pending_and_history(self, registry, tmp_path):
         aug, votes = build_scenario()

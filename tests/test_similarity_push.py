@@ -2,16 +2,16 @@
 
 Three layers are covered here:
 
-- the registry seam (``register_backend`` / ``get_backend`` round-trips,
-  unknown names, shadowing protection);
+- the name -> kernel table: ``get_backend`` returns the two kernels and
+  refuses every other name, as ``SimilarityParams`` does;
 - the push kernel itself against the dense reference — the paper's
   Fig. 1 worked example, exact mode, and a hypothesis property that
   push agrees with dense within the derived error budget on random
   graphs — and against the vectorized kernel it replaced
   (``tests/push_reference.py``), bitwise;
 - the serving engine's push path — cache hits, the rekey-vs-repush
-  decision under weight patches, answer appends, and the refusal of
-  graph-only backends — with the runtime contracts armed (conftest),
+  decision under weight patches, answer appends, and batches — with
+  the runtime contracts armed (conftest),
   so every engine-served push vector is checked against a cold dense
   recompute.
 """
@@ -22,22 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.errors import (
-    EvaluationError,
-    NodeNotFoundError,
-    UnknownBackendError,
-)
+from repro.errors import NodeNotFoundError, UnknownBackendError
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import WeightedDiGraph
 from repro.graph.generators import random_digraph
 from repro.serving import Patch, SimilarityEngine, SimilarityParams
-from repro.similarity.backend import (
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.similarity.backend import DenseBackend, PushBackend, get_backend
 from repro.similarity.inverse_pdistance import inverse_pdistance
 from repro.similarity.push import (
     PropagationResult,
@@ -94,81 +84,28 @@ def assert_push_matches_dense(aug, params):
 
 
 # ----------------------------------------------------------------------
-# the registry
+# the name -> kernel table
 # ----------------------------------------------------------------------
-class _ToyBackend:
-    name = "toy"
-    supports_matrix = False
-
-    def scores(self, graph, source, targets, *, params):
-        return {t: 0.0 for t in targets}
-
-    def scores_batch(self, graph, sources, targets, *, params):
-        return {s: {t: 0.0 for t in targets} for s in sources}
-
-    def propagate(self, *args, **kwargs):
-        raise NotImplementedError
-
-
 class TestRegistry:
+    """``get_backend``'s fixed two-name table and the params check in
+    front of it."""
+
     def test_builtin_backends_present(self):
-        assert {"dense", "push", "ppr", "random_walk"} <= set(
-            available_backends()
-        )
+        assert isinstance(get_backend("dense"), DenseBackend)
+        assert isinstance(get_backend("push"), PushBackend)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(UnknownBackendError, match="no_such_kernel"):
-            get_backend("no_such_kernel")
-
-    def test_register_round_trip(self):
-        backend = _ToyBackend()
-        try:
-            assert register_backend(backend) is backend
-            assert get_backend("toy") is backend
-            assert "toy" in available_backends()
-            assert resolve_backend("toy") is backend
-            assert (
-                resolve_backend(SimilarityParams(backend="toy")) is backend
-            )
-        finally:
-            assert unregister_backend("toy") is backend
-        with pytest.raises(UnknownBackendError):
-            get_backend("toy")
-
-    def test_reregistering_same_object_is_noop(self):
-        backend = _ToyBackend()
-        try:
-            register_backend(backend)
-            register_backend(backend)  # same object: fine
-        finally:
-            unregister_backend("toy")
-
-    def test_shadowing_requires_replace(self):
-        first, second = _ToyBackend(), _ToyBackend()
-        try:
-            register_backend(first)
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend(second)
-            assert register_backend(second, replace=True) is second
-            assert get_backend("toy") is second
-        finally:
-            unregister_backend("toy")
-
-    def test_nameless_backend_rejected(self):
-        class Nameless:
-            pass
-
-        with pytest.raises(ValueError, match="name"):
-            register_backend(Nameless())
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(UnknownBackendError):
-            unregister_backend("never_registered")
+        for name in ("no_such_kernel", "ppr", "random_walk", "", "Dense"):
+            with pytest.raises(UnknownBackendError, match=repr(name)):
+                get_backend(name)
 
     def test_unknown_backend_via_params(self):
-        params = SimilarityParams(backend="not_yet_registered")
-        with pytest.raises(UnknownBackendError):
-            resolve_backend(params)
+        # PPR and the random-walk baseline have no kernel the engine
+        # could serve with, so params refuse them with the typos.
+        for name in ("ppr", "random_walk", "", "dnese", "not_yet_registered"):
+            with pytest.raises(ValueError, match="'dense' or 'push'"):
+                SimilarityParams(backend=name)
+        assert SimilarityParams(backend="push").backend == "push"
 
 
 # ----------------------------------------------------------------------
@@ -548,15 +485,6 @@ class TestEnginePush:
         for target in targets + ["a_new"]:
             assert served[target] == pytest.approx(
                 cold[target], abs=PUSH_PARAMS.push_tolerance + FP_SLOP
-            )
-        engine.close()
-
-    def test_graph_only_backend_refused(self):
-        aug = two_component_aug()
-        engine = SimilarityEngine(aug, params=PUSH_PARAMS)
-        with pytest.raises(EvaluationError, match="matrix-level"):
-            engine.scores_for_query(
-                "q", ["ans"], params=SimilarityParams(backend="ppr")
             )
         engine.close()
 
