@@ -10,8 +10,10 @@ cached vectors in place with work proportional to the changed edges'
 L-hop neighborhood, so the first post-patch serve is a warm cache hit.
 
 This bench replays rounds of [patch ≤1% of edges → serve the whole
-query pool] on a ~5k-edge graph under both engine configurations and
-compares per-serve latency distributions (p50/p95).  Correctness is
+query pool] on a ~5k-edge graph twice — once as the engine ships, once
+with the delta density budget at 0, which forces the cold-invalidation
+fallback on every patch — and compares per-serve latency distributions
+(p50/p95).  Correctness is
 asserted alongside: every delta-served score must match a cold
 :func:`inverse_pdistance` recompute within the contract tolerance.
 
@@ -30,6 +32,7 @@ import time
 from conftest import engine_series, report
 
 import numpy as np
+import pytest
 
 from repro.devtools.contracts import DELTA_SCORE_TOL
 from repro.graph.augmented import AugmentedGraph
@@ -57,7 +60,7 @@ PARAMS = SimilarityParams(k=8, max_length=5)
 set_trace_sampling(100)
 
 
-def _build_workload(*, delta_revalidation):
+def _build_workload():
     kg = random_digraph(NUM_NODES, AVG_DEGREE, seed=17, out_mass=0.9)
     aug = AugmentedGraph(kg)
     entities = sorted(kg.nodes())
@@ -68,14 +71,12 @@ def _build_workload(*, delta_revalidation):
     for q in range(NUM_QUERIES):
         picks = rng.choice(len(entities), size=2, replace=False)
         aug.add_query(f"q{q}", {entities[int(p)]: 1 for p in picks})
-    engine = SimilarityEngine(
-        aug, params=PARAMS, delta_revalidation=delta_revalidation
-    )
+    engine = SimilarityEngine(aug, params=PARAMS)
     return kg, aug, engine
 
 
 def _patch_rounds(kg, seed=41):
-    """Per-round ≤1%-of-edges patches, identical across configurations.
+    """Per-round ≤1%-of-edges patches, identical across both runs.
 
     Weights are scaled multiplicatively into (0.8, 1.0), which keeps
     every node's out-mass sub-stochastic no matter how rounds stack.
@@ -121,13 +122,17 @@ def bench_delta_revalidation(benchmark):
     results = {}
 
     def run_all():
-        kg, cold_aug, cold_engine = _build_workload(delta_revalidation=False)
+        kg, cold_aug, cold_engine = _build_workload()
         rounds, per_round, num_edges = _patch_rounds(kg)
-        cold_lat, cold_served, _, _ = _serve_rounds(
-            cold_aug, cold_engine, rounds
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "repro.serving.engine.DEFAULT_DELTA_DENSITY_THRESHOLD", 0.0
+            )
+            cold_lat, cold_served, _, _ = _serve_rounds(
+                cold_aug, cold_engine, rounds
+            )
 
-        kg2, delta_aug, delta_engine = _build_workload(delta_revalidation=True)
+        kg2, delta_aug, delta_engine = _build_workload()
         rounds2, _, _ = _patch_rounds(kg2)
         delta_lat, delta_served, queries, targets = _serve_rounds(
             delta_aug, delta_engine, rounds2

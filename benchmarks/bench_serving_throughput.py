@@ -4,9 +4,11 @@ The seed ``QASystem.ask()`` rebuilt the full CSR adjacency matrix from
 the graph's Python dicts on every question; the
 :class:`~repro.serving.engine.SimilarityEngine` builds it once and keeps
 it current incrementally, with an LRU of score vectors on top.  This
-bench replays 500 ``ask()`` calls cycling through a fixed question pool
-against a ~5k-edge graph under both configurations (scores are bitwise
-identical either way) and asserts the engine path is at least 5× faster.
+bench replays 500 asks cycling through a fixed question pool against a
+~5k-edge graph on both paths — ``QASystem.ask()``, and the seed path,
+which attaches each question and ranks it with ``rank_answers`` and no
+engine — asserts the answers are bitwise identical, and asserts the
+engine path is at least 5× faster.
 It also measures :meth:`QASystem.ask_many`, which shares one stacked
 propagation across a whole batch.
 
@@ -31,6 +33,7 @@ from repro.graph.generators import random_digraph
 from repro.obs import get_registry, set_trace_sampling
 from repro.qa import EntityVocabulary, QASystem
 from repro.serving import SimilarityParams
+from repro.similarity.top_k import rank_answers
 from repro.utils.tables import format_table
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -55,11 +58,11 @@ PARAMS = SimilarityParams(k=8, max_length=5)
 set_trace_sampling(100)
 
 
-def _build_system(*, use_engine):
+def _build_system():
     kg = random_digraph(NUM_NODES, AVG_DEGREE, seed=17, out_mass=0.9)
     nodes = sorted(kg.nodes())
     vocabulary = EntityVocabulary(nodes)
-    system = QASystem(kg, vocabulary, params=PARAMS, use_engine=use_engine)
+    system = QASystem(kg, vocabulary, params=PARAMS)
     rng = np.random.default_rng(23)
     documents = {}
     for d in range(NUM_DOCS):
@@ -71,7 +74,7 @@ def _build_system(*, use_engine):
     for _ in range(NUM_QUESTIONS):
         picks = rng.choice(len(nodes), size=2, replace=False)
         questions.append(" ".join(nodes[int(p)] for p in picks))
-    return kg, system, questions
+    return kg, vocabulary, system, questions
 
 
 def _ask_loop(system, questions, num_asks=NUM_ASKS):
@@ -85,14 +88,40 @@ def _ask_loop(system, questions, num_asks=NUM_ASKS):
     return time.perf_counter() - start, answers
 
 
+def _cold_ask_loop(system, vocabulary, questions, num_asks=NUM_ASKS):
+    """``_ask_loop`` on the seed path: each ask attaches its question as
+    ``ask()`` does and ranks it with ``rank_answers`` and no engine, so
+    every call rebuilds the adjacency matrix."""
+    aug = system.augmented_graph
+    start = time.perf_counter()
+    answers = []
+    for i in range(num_asks):
+        question_id = f"bench_q{i % len(questions)}"
+        counts = {
+            entity: count
+            for entity, count in vocabulary.extract(
+                questions[i % len(questions)]
+            ).items()
+            if aug.is_entity(entity)
+        }
+        if aug.is_query(question_id):
+            aug.remove_query(question_id)
+        aug.add_query(question_id, counts)
+        ranked = rank_answers(aug, question_id, params=PARAMS)
+        answers.append([(str(answer), score) for answer, score in ranked])
+    return time.perf_counter() - start, answers
+
+
 def bench_serving_throughput(benchmark):
     results = {}
 
     def run_all():
-        kg, cold_system, questions = _build_system(use_engine=False)
-        cold_time, cold_answers = _ask_loop(cold_system, questions)
+        kg, vocabulary, cold_system, questions = _build_system()
+        cold_time, cold_answers = _cold_ask_loop(
+            cold_system, vocabulary, questions
+        )
 
-        kg2, engine_system, _ = _build_system(use_engine=True)
+        kg2, _, engine_system, _ = _build_system()
         assert kg.num_edges == kg2.num_edges
         engine_time, engine_answers = _ask_loop(engine_system, questions)
 
@@ -219,7 +248,7 @@ def bench_recorder_overhead(benchmark, tmp_path):
         return seconds / RECORDER_BLOCK_ASKS
 
     def run_all():
-        _, system, questions = _build_system(use_engine=True)
+        _, _, system, questions = _build_system()
         # Warm: build the matrix, fill the LRU, settle the allocator.
         _ask_loop(system, questions, RECORDER_BLOCK_ASKS)
         off, on = [], []

@@ -42,7 +42,7 @@ from repro.optimize.objectives import (
     step_count,
 )
 from repro.optimize.report import OptimizeReport, observe_run
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.params import SimilarityParams
 from repro.sgp.solver import SGPSolution, solve_sgp
 from repro.votes.feasibility import filter_feasible
 from repro.votes.types import Vote, VoteSet
@@ -99,8 +99,6 @@ def solve_multi_vote(
     sigmoid_w: float = DEFAULT_SIGMOID_W,
     feasibility_filter: bool = True,
     params: "SimilarityParams | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
@@ -130,9 +128,8 @@ def solve_multi_vote(
         unsatisfiable votes.
     params:
         Similarity parameters
-        (:class:`~repro.serving.params.SimilarityParams`); the bare
-        ``max_length``/``restart_prob`` keywords were removed and raise
-        ``TypeError``.
+        (:class:`~repro.serving.params.SimilarityParams`); the paper
+        defaults when omitted.
     Other parameters as in
     :func:`repro.optimize.single_vote.solve_single_votes`.
 
@@ -143,9 +140,8 @@ def solve_multi_vote(
         graph is returned unchanged and the report's ``solution`` is
         ``None``.
     """
-    params = resolve_similarity_params(
-        params, max_length=max_length, restart_prob=restart_prob
-    )
+    if params is None:
+        params = SimilarityParams()
     max_length = params.max_length
     restart_prob = params.restart_prob
     report = MultiVoteReport()

@@ -30,7 +30,7 @@ from repro.optimize.encoder import (
 )
 from repro.optimize.objectives import distance_signomial
 from repro.optimize.report import OptimizeReport, observe_run
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.params import SimilarityParams
 from repro.sgp.solver import SGPSolution, solve_sgp
 from repro.votes.types import Vote, VoteSet
 
@@ -101,8 +101,6 @@ def solve_single_votes(
     votes: "VoteSet | list[Vote]",
     *,
     params: "SimilarityParams | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
@@ -121,9 +119,8 @@ def solve_single_votes(
         The vote set ``T``; only ``T⁻`` (negative votes) is used.
     params:
         Similarity parameters
-        (:class:`~repro.serving.params.SimilarityParams`); the bare
-        ``max_length``/``restart_prob`` keywords were removed and raise
-        ``TypeError``.
+        (:class:`~repro.serving.params.SimilarityParams`); the paper
+        defaults when omitted.
     max_iter:
         Passed to :func:`repro.sgp.solver.solve_sgp`.
     normalize:
@@ -136,9 +133,8 @@ def solve_single_votes(
     -------
     (optimized graph, report)
     """
-    params = resolve_similarity_params(
-        params, max_length=max_length, restart_prob=restart_prob
-    )
+    if params is None:
+        params = SimilarityParams()
     max_length = params.max_length
     restart_prob = params.restart_prob
     report = SingleVoteReport()

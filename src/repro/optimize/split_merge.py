@@ -32,7 +32,7 @@ from repro.optimize.parallel import (
     solve_one_cluster,
 )
 from repro.optimize.report import OptimizeReport, observe_run
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.params import SimilarityParams
 from repro.votes.types import Vote, VoteSet
 
 
@@ -108,8 +108,6 @@ def solve_split_merge(
     sigmoid_w: float = DEFAULT_SIGMOID_W,
     feasibility_filter: bool = True,
     params: "SimilarityParams | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
@@ -132,9 +130,8 @@ def solve_split_merge(
         process pool (the distributed deployment).
     params:
         Similarity parameters
-        (:class:`~repro.serving.params.SimilarityParams`); the bare
-        ``max_length``/``restart_prob`` keywords were removed and raise
-        ``TypeError``.
+        (:class:`~repro.serving.params.SimilarityParams`); the paper
+        defaults when omitted.
     Remaining parameters as in
     :func:`repro.optimize.multi_vote.solve_multi_vote`, applied to every
     per-cluster solve.
@@ -143,9 +140,8 @@ def solve_split_merge(
     -------
     (optimized graph, report)
     """
-    params = resolve_similarity_params(
-        params, max_length=max_length, restart_prob=restart_prob
-    )
+    if params is None:
+        params = SimilarityParams()
     report = SplitMergeReport()
     with observe_run("optimize.split_merge", report) as op:
         result = aug if in_place else aug.copy()

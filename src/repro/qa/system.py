@@ -8,15 +8,14 @@ of Section I) is recorded; accumulated votes are turned into an edge
 weight optimization with any of the three solution strategies; and the
 improved graph immediately serves the next question.
 
-Serving is delegated to a :class:`~repro.serving.engine.SimilarityEngine`
-(the versioned cached-adjacency subsystem), so repeated questions
-against an unchanged graph cost a cache lookup instead of an ``O(|E|)``
-matrix rebuild, and :meth:`QASystem.ask_many` answers whole batches
-with one stacked propagation.  Similarity parameters travel as one
+Every serve goes through one
+:class:`~repro.serving.engine.SimilarityEngine` (the versioned
+cached-adjacency subsystem), so repeated questions against an unchanged
+graph cost a cache lookup instead of an ``O(|E|)`` matrix rebuild, and
+:meth:`QASystem.ask_many` answers whole batches with one stacked
+propagation.  Similarity parameters travel as one
 :class:`~repro.serving.params.SimilarityParams` object (which also
-selects the propagation backend); the historical
-``k``/``max_length``/``restart_prob`` keyword arguments are removed and
-raise ``TypeError`` with a migration hint.
+selects the propagation backend).
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from repro.optimize.report import OptimizeReport
 from repro.optimize.single_vote import solve_single_votes
 from repro.optimize.split_merge import solve_split_merge
 from repro.qa.entities import EntityVocabulary
-from repro.serving.engine import DEFAULT_CACHE_SIZE, Patch, SimilarityEngine
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.engine import Patch, SimilarityEngine
+from repro.serving.params import SimilarityParams
 from repro.similarity.top_k import rank_answers, scores_to_ranked_list
 from repro.utils.sync import mutator, serve_path
 from repro.votes.types import Vote, VoteSet
@@ -63,17 +62,12 @@ class QASystem:
         Entity extractor used to link questions/documents to the graph.
     params:
         The :class:`~repro.serving.params.SimilarityParams` bundle
-        (``k``, ``max_length``, ``restart_prob``).
-    use_engine:
-        Serve through the incremental :class:`SimilarityEngine`
-        (default).  ``False`` restores the historical rebuild-per-call
-        path — scores are bitwise identical either way; the flag exists
-        for benchmarking and as an escape hatch.
-    engine_cache_size:
-        Bound on the engine's per-query score LRU.
-    k, max_length, restart_prob:
-        Removed; passing any of them raises ``TypeError`` with a
-        migration hint (use ``params`` instead).
+        (``k``, ``max_length``, ``restart_prob``); the paper defaults
+        when omitted.
+
+    Questions are served by :attr:`engine`, a
+    :class:`~repro.serving.engine.SimilarityEngine` over the live
+    augmented graph with the default score-LRU bound.
     """
 
     def __init__(
@@ -82,24 +76,11 @@ class QASystem:
         vocabulary: EntityVocabulary,
         *,
         params: "SimilarityParams | None" = None,
-        use_engine: bool = True,
-        engine_cache_size: int = DEFAULT_CACHE_SIZE,
-        k: "int | None" = None,
-        max_length: "int | None" = None,
-        restart_prob: "float | None" = None,
     ) -> None:
-        self._params = resolve_similarity_params(
-            params, k=k, max_length=max_length, restart_prob=restart_prob
-        )
+        self._params = params if params is not None else SimilarityParams()
         self._aug = AugmentedGraph(kg)
         self._vocabulary = vocabulary
-        self._engine: "SimilarityEngine | None" = (
-            SimilarityEngine(
-                self._aug, params=self._params, cache_size=engine_cache_size
-            )
-            if use_engine
-            else None
-        )
+        self._engine = SimilarityEngine(self._aug, params=self._params)
         self._shown: dict[str, tuple[str, ...]] = {}
         self._votes = VoteSet()
         # itertools.count, not an int += 1: allocation is a single
@@ -124,8 +105,7 @@ class QASystem:
         if not isinstance(value, SimilarityParams):
             raise TypeError(f"params must be SimilarityParams, got {value!r}")
         self._params = value
-        if self._engine is not None:
-            self._engine.params = value
+        self._engine.params = value
 
     @property
     def k(self) -> int:
@@ -158,16 +138,9 @@ class QASystem:
     # serving internals
     # ------------------------------------------------------------------
     @property
-    def engine(self) -> "SimilarityEngine | None":
-        """The serving engine (``None`` when ``use_engine=False``)."""
+    def engine(self) -> SimilarityEngine:
+        """The serving engine."""
         return self._engine
-
-    def _publish(self, apply: "Callable[[], Patch]") -> None:
-        """Run ``apply`` as one engine epoch (or plainly, without one)."""
-        if self._engine is not None:
-            self._engine.publish(apply)
-        else:
-            apply()
 
     # ------------------------------------------------------------------
     # corpus attachment
@@ -198,7 +171,7 @@ class QASystem:
                     attached.append(doc_id)
             return Patch(answers=attached)
 
-        self._publish(attach)
+        self._engine.publish(attach)
         return attached
 
     # ------------------------------------------------------------------
@@ -292,23 +265,13 @@ class QASystem:
                 op.set(num_questions=len(questions), num_attached=len(attached))
             if not attached:
                 return {}
-            if self._engine is not None:
-                all_scores = self._engine.score_batch(
-                    attached, params=self._params
-                )
-                ranked = {
-                    question_id: scores_to_ranked_list(all_scores[question_id])[
-                        : self._params.k
-                    ]
-                    for question_id in attached
-                }
-            else:
-                ranked = {
-                    question_id: rank_answers(
-                        self._aug, question_id, params=self._params
-                    )
-                    for question_id in attached
-                }
+            all_scores = self._engine.score_batch(attached, params=self._params)
+            ranked = {
+                question_id: scores_to_ranked_list(all_scores[question_id])[
+                    : self._params.k
+                ]
+                for question_id in attached
+            }
             results = {
                 question_id: self._record_shown(question_id, ranked[question_id])
                 for question_id in attached
@@ -375,9 +338,7 @@ class QASystem:
             Forwarded to the chosen driver (``lambda1``, ``sigmoid_w``,
             ``max_iter``, ``num_workers``, ...).  Similarity
             parameters default to this system's ``params``; override
-            with ``params=SimilarityParams(...)`` (the bare
-            ``max_length``/``restart_prob`` keywords are removed and
-            raise ``TypeError``).
+            with ``params=SimilarityParams(...)``.
 
         Returns
         -------
@@ -394,12 +355,7 @@ class QASystem:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected {list(_STRATEGIES)}"
             )
-        options["params"] = resolve_similarity_params(
-            options.pop("params", None),
-            max_length=options.pop("max_length", None),
-            restart_prob=options.pop("restart_prob", None),
-            default=self._params,
-        )
+        options.setdefault("params", self._params)
         with observe(
             "qa.optimize", strategy=strategy, num_votes=len(self._votes)
         ) as op:
@@ -414,7 +370,7 @@ class QASystem:
             # delta-revalidated off the serve path: asks on other
             # threads read the pre-solve epoch meanwhile, and the first
             # post-optimize ask hits a warm cache.
-            self._publish(solve)
+            self._engine.publish(solve)
             (report,) = reports
             op.set(
                 changed_edges=report.num_changed_edges,
@@ -457,10 +413,7 @@ class QASystem:
 
         aug = load_augmented_graph(path)
         self._aug = aug
-        if self._engine is not None:
-            self._engine = SimilarityEngine(
-                aug, params=self._params, cache_size=self._engine.cache_size
-            )
+        self._engine = SimilarityEngine(aug, params=self._params)
         self._shown.clear()
         self._votes = VoteSet()
         # Keep auto-generated question ids collision-free with any

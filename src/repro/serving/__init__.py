@@ -23,11 +23,7 @@ This subpackage treats it as a long-lived serving asset instead:
   graph, and published to the engine as atomic weight-patch epochs.
 """
 
-from repro.serving.params import (
-    DEFAULT_K,
-    SimilarityParams,
-    resolve_similarity_params,
-)
+from repro.serving.params import DEFAULT_K, SimilarityParams
 from repro.serving.delta import (
     DEFAULT_DELTA_DENSITY_THRESHOLD,
     DeltaCorrector,
@@ -59,7 +55,6 @@ __all__ = [
     "OptimizerWorker",
     "VoteQueue",
     "SimilarityParams",
-    "resolve_similarity_params",
     "DeltaCorrector",
     "DeltaFallbackError",
     "Patch",

@@ -10,8 +10,9 @@ asset:
 - it serves from one immutable *epoch* at a time: a sparse adjacency
   matrix over the *persistent* nodes (entities + answers), built by the
   graph's vectorized :meth:`~repro.graph.digraph.WeightedDiGraph.csr`,
-  its node index and sorted answers, the push backend's state, and the
-  epoch's own score LRU.  A writer mutates the live graph inside
+  its node index and sorted answers, the push backend's state (built
+  from that matrix on first use), and the epoch's own score LRU.  A
+  writer mutates the live graph inside
   :meth:`SimilarityEngine.publish` and returns the :class:`Patch` it
   wrote, from which the engine builds the *next* epoch, published by
   one reference swap: a re-weighted edge finds its CSR entry by binary
@@ -40,7 +41,7 @@ asset:
   needs via delta propagation (:mod:`repro.serving.delta` — work scales
   with the changed edges' L-hop neighborhood, not ``|E|``; a patch too
   dense to localize drops the dense entries instead) — and empty after
-  a rebuild or with delta revalidation off;
+  a rebuild;
 - every counter and per-stage latency (cache hits/misses, patches,
   row appends, rebuilds avoided, builds, propagations, delta passes)
   is an ``engine_*`` series in the metrics registry, labeled with the
@@ -94,10 +95,14 @@ from repro.serving.delta import (
     DeltaCorrector,
     DeltaFallbackError,
 )
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.params import SimilarityParams
 from repro.utils.sync import mutator, serve_path
 from repro.similarity.backend import DenseBackend, PushBackend
-from repro.similarity.push import PropagationResult, amplification_bound
+from repro.similarity.push import (
+    PropagationResult,
+    amplification_bound,
+    out_adjacency,
+)
 from repro.similarity.ranking import rank_vector, repr_order
 
 #: Default bound on the per-query score-vector LRU cache.
@@ -125,9 +130,8 @@ _PUSH = PushBackend()
 #: produced it (touched set + error accounting) or ``None``.
 _Entry = tuple[np.ndarray, "PropagationResult | None"]
 
-#: The push backend's state for one matrix: the out-edge CSR, the map
-#: from ``matrix.data`` positions into its data array, and ρ.
-_PushState = tuple[sparse.csr_matrix, np.ndarray, float]
+#: The push backend's state for one matrix: its out-edge CSR and ρ.
+_PushState = tuple[sparse.csr_matrix, float]
 
 
 class Patch(NamedTuple):
@@ -138,42 +142,6 @@ class Patch(NamedTuple):
 
     edges: Collection[tuple[Node, Node]] = ()
     answers: Sequence[Node] = ()
-
-
-def _push_state(matrix: sparse.csr_matrix) -> _PushState:
-    """The push backend's out-edge CSR, position map, and ρ for ``matrix``.
-
-    The out-edge CSR is the exact transpose of the in-edge matrix; the
-    map ``matrix.data[p] ↔ out.data[push_map[p]]`` lets a weight patch
-    update both in lock-step.  It falls out of transposing a "tag"
-    matrix that carries each nonzero's original data position as its
-    value.
-    """
-    nnz = matrix.nnz
-    if not nnz:
-        out = sparse.csr_matrix(matrix.shape)
-        return out, np.empty(0, dtype=np.int64), amplification_bound(out)
-    tag = sparse.csr_matrix(
-        (
-            np.arange(1, nnz + 1, dtype=np.float64),
-            matrix.indices,
-            matrix.indptr,
-        ),
-        shape=matrix.shape,
-    )
-    tagged = sparse.csr_matrix(tag.T)
-    source_pos = np.rint(tagged.data).astype(np.int64) - 1
-    out = sparse.csr_matrix(
-        (
-            matrix.data[source_pos],
-            tagged.indices.copy(),
-            tagged.indptr.copy(),
-        ),
-        shape=matrix.shape,
-    )
-    push_map = np.empty(nnz, dtype=np.int64)
-    push_map[source_pos] = np.arange(nnz, dtype=np.int64)
-    return out, push_map, amplification_bound(out)
 
 
 class _Epoch:
@@ -189,8 +157,8 @@ class _Epoch:
     epoch alone, so a vector cached here always
     describes this matrix; every vector is frozen on the way in
     (constructor and :meth:`store`), so no caller holding a served array
-    can poison a later hit.  ``push`` is built on the epoch's first push
-    serve, or handed over by the writer patched from the predecessor's.
+    can poison a later hit.  ``push`` is the out-edge CSR of ``matrix``
+    and its ρ, built on first use: it depends on this matrix alone.
     """
 
     def __init__(
@@ -204,7 +172,6 @@ class _Epoch:
         lru_lock: threading.Lock,
         capacity: int,
         entries: "Iterable[tuple[tuple, _Entry]]" = (),
-        push: "_PushState | None" = None,
     ) -> None:
         self.number = number
         self.version = version
@@ -215,7 +182,7 @@ class _Epoch:
             (index[answer] for answer in answers), dtype=np.int64, count=len(answers)
         )
         self.answer_rows.setflags(write=False)
-        self.push = push
+        self.push: "_PushState | None" = None
         self._lru_lock = lru_lock
         self._capacity = capacity
         self._lru: "OrderedDict[tuple, _Entry]" = OrderedDict()
@@ -255,10 +222,11 @@ class _Epoch:
             return list(self._lru.items())
 
     def push_state(self) -> _PushState:
-        """The push out-CSR, position map, and ρ, built on first use."""
+        """The out-edge CSR of ``matrix`` and its ρ, built on first use."""
         push = self.push
         if push is None:
-            push = self.push = _push_state(self.matrix)
+            out = out_adjacency(self.matrix)
+            push = self.push = (out, amplification_bound(out))
         return push
 
     def offsets(self, edges: Sequence[tuple[Node, Node]]) -> "list[int | None]":
@@ -326,21 +294,14 @@ class SimilarityEngine:
         The :class:`~repro.obs.MetricsRegistry` receiving the engine's
         ``engine_*`` metric series (labeled ``engine="<n>"`` per
         instance).  Defaults to the process-wide registry.
-    delta_revalidation:
-        Keep cached score vectors warm across optimizer weight patches
-        by applying exact delta-propagation corrections
-        (:mod:`repro.serving.delta`) instead of cold-invalidating the
-        LRU.  Off, every matrix change starts the next epoch with an
-        empty cache (the pre-delta behaviour).
-    delta_density_threshold:
-        Fallback budget for delta revalidation, as a multiple of the
-        matrix's edge count: when the correction frontier outgrows
-        ``threshold x |E|`` nonzeros, the engine gives up on
-        localization and cold-invalidates instead.  ``0`` forces the
-        fallback on every patch.
 
     Notes
     -----
+    Cached score vectors stay warm across announced weight patches
+    through exact delta-propagation corrections
+    (:mod:`repro.serving.delta`); a patch whose correction frontier
+    outgrows :data:`~repro.serving.delta.DEFAULT_DELTA_DENSITY_THRESHOLD`
+    times the matrix's edge count drops the dense entries instead.
     The engine assumes the paper's augmented-graph construction
     (Section III-A): query nodes have out-links only.  Writes announced
     through :meth:`publish` are patched into the next epoch; any other
@@ -357,18 +318,9 @@ class SimilarityEngine:
         params: "SimilarityParams | None" = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         registry: "MetricsRegistry | None" = None,
-        delta_revalidation: bool = True,
-        delta_density_threshold: float = DEFAULT_DELTA_DENSITY_THRESHOLD,
     ) -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be ≥ 0, got {cache_size}")
-        if delta_density_threshold < 0:
-            raise ValueError(
-                f"delta_density_threshold must be ≥ 0, got "
-                f"{delta_density_threshold}"
-            )
-        self._delta_enabled = bool(delta_revalidation)
-        self._delta_density_threshold = float(delta_density_threshold)
         self._aug = aug
         # Serializes writers: a publish (apply + next epoch) and a serve
         # that rebuilds.  Re-entrant because publish() holds it across
@@ -435,11 +387,6 @@ class SimilarityEngine:
     def version(self) -> int:
         """The served graph's current mutation version."""
         return self._aug.graph.version
-
-    @property
-    def cache_size(self) -> int:
-        """The configured bound on the per-query score LRU."""
-        return self._cache_size
 
     @property
     def epoch(self) -> int:
@@ -572,7 +519,6 @@ class SimilarityEngine:
         answers: tuple[Node, ...],
         *,
         entries: "Iterable[tuple[tuple, _Entry]]" = (),
-        push: "_PushState | None" = None,
     ) -> _Epoch:
         return _Epoch(
             number,
@@ -583,7 +529,6 @@ class SimilarityEngine:
             lru_lock=self._lru_lock,
             capacity=self._cache_size,
             entries=entries,
-            push=push,
         )
 
     def _rebuild(self, number: int) -> _Epoch:
@@ -626,9 +571,8 @@ class SimilarityEngine:
         ``offsets`` are the edges' positions in the matrix's data.  The
         data array is copied, those entries re-read from the live graph,
         and rebound as a fresh matrix sharing the (immutable) index
-        structure.  The predecessor's push out-CSR, if built, is patched
-        in lock-step.  The LRU starts from the predecessor's entries,
-        delta-repaired, or empty when delta revalidation is off.
+        structure.  The LRU starts from the predecessor's entries,
+        delta-repaired.
         """
         matrix = prev.matrix
         data = matrix.data.copy()
@@ -647,29 +591,6 @@ class SimilarityEngine:
         check_finite_csr_data(
             data, positions=positions.tolist(), seam="engine.patch"
         )
-        push = prev.push
-        if push is not None:
-            # Same nonzeros, transposed layout; grow ρ if a patched
-            # head's out-weight sum now exceeds it.  ρ is an upper bound,
-            # so weight decreases never lower it — staying high is sound.
-            adj, push_map, rho = push
-            adj_data = adj.data.copy()
-            adj_data[push_map[positions]] = data[positions]
-            # Edge head -> tail is M[index[tail], index[head]]: heads are
-            # the patched entries' columns.
-            for row in np.unique(matrix.indices[positions]):
-                row_sum = float(
-                    adj_data[adj.indptr[row] : adj.indptr[row + 1]].sum()
-                )
-                if row_sum > rho:
-                    rho = row_sum
-            push = (
-                sparse.csr_matrix(
-                    (adj_data, adj.indices, adj.indptr), shape=adj.shape
-                ),
-                push_map,
-                rho,
-            )
         self._m_weight_patches.inc(positions.size)
         epoch = self._new_epoch(
             prev.number + 1,
@@ -679,12 +600,10 @@ class SimilarityEngine:
             ),
             prev.index,
             prev.answers,
-            push=push,
         )
-        if self._delta_enabled and self._cache_size:
-            entries = prev.entries()
-            if entries:
-                self._delta_revalidate(epoch, entries, positions, old_values)
+        entries = prev.entries()
+        if entries:
+            self._delta_revalidate(epoch, entries, positions, old_values)
         return epoch
 
     def _append_answer_rows(
@@ -695,8 +614,8 @@ class SimilarityEngine:
         Answer nodes have no out-edges, so their columns stay empty; all
         their in-links land in the single new row, which makes CSR row
         append the exact incremental form of a rebuild.  For the same
-        reason no cached score can change: with delta revalidation on,
-        the successor starts from a copy of the predecessor's LRU.
+        reason no cached score can change: the successor starts from a
+        copy of the predecessor's LRU.
         """
         with observe("engine.append_rows", self._h_build, answers=len(answers)):
             matrix = prev.matrix
@@ -732,7 +651,7 @@ class SimilarityEngine:
             )
             check_finite_csr_data(appended.data, seam="engine.append_rows")
             self._m_rows_appended.inc(len(answers))
-        carried = prev.entries() if self._delta_enabled else []
+        carried = prev.entries()
         if carried:
             self._m_delta_rekeys.inc(len(carried))
         return self._new_epoch(
@@ -768,7 +687,7 @@ class SimilarityEngine:
         """Fill the patched ``epoch``'s LRU with repaired predecessor entries.
 
         ``entries`` (the predecessor's LRU) are partitioned by the
-        kernel that produced each (``key[0]``):
+        kernel that produced each (its key's backend):
 
         - **dense** entries receive the exact delta-propagation
           correction; a :class:`~repro.serving.delta.DeltaFallbackError`
@@ -776,10 +695,10 @@ class SimilarityEngine:
           entries — the honest cold-invalidation fallback, per kind;
         - **push** entries (those carrying a push result) carry over
           verbatim when provably unaffected — no patched edge's head is
-          in the entry's touched set and the amplification bound ρ did
-          not grow, so both the computed mass and the dropped-mass
-          error accounting are unchanged — and are re-pushed locally on
-          the patched matrix otherwise.
+          in the entry's touched set and the patched matrix's ρ is no
+          larger than the one the entry was pushed under, so the
+          computed mass is unchanged and its error bound still holds —
+          and are re-pushed locally on the patched matrix otherwise.
         """
         matrix = epoch.matrix
         deltas = matrix.data[positions] - old_values
@@ -790,14 +709,17 @@ class SimilarityEngine:
                 epoch.store(key, vector, result)
             self._m_delta_rekeys.inc(len(entries))
             return
-        index = epoch.index
-        dense_keys = [key for key, _ in entries if key[0] == "dense"]
+        requests = {key: self._cache_request(key) for key, _ in entries}
+        dense_keys = [
+            key for key, (_, _, params) in requests.items()
+            if params.backend == "dense"
+        ]
         push_keys = [key for key, (_, result) in entries if result is not None]
         cached = dict(entries)
         corrected: dict[tuple, np.ndarray] = {}
         dense_ok = True
         if dense_keys:
-            max_length = max(key[3] for key in dense_keys)
+            max_length = max(requests[key][2].max_length for key in dense_keys)
             with observe(
                 "engine.delta",
                 self._h_delta,
@@ -815,31 +737,18 @@ class SimilarityEngine:
                         matrix.indices[moved].astype(np.int64),
                         deltas[changed],
                         max_length=max_length,
-                        density_threshold=self._delta_density_threshold,
+                        density_threshold=DEFAULT_DELTA_DENSITY_THRESHOLD,
                     )
                     for key in dense_keys:
-                        _backend, links, targets, length, restart_prob = key[:5]
-                        seed_idx = np.fromiter(
-                            (index[entity] for entity, _ in links),
-                            dtype=np.int64,
-                            count=len(links),
-                        )
-                        seed_weights = np.fromiter(
-                            (weight for _, weight in links),
-                            dtype=float,
-                            count=len(links),
-                        )
-                        target_idx = np.fromiter(
-                            (index[target] for target in targets),
-                            dtype=np.int64,
-                            count=len(targets),
-                        )
+                        links, targets, params = requests[key]
+                        seed_idx, seed_weights = self._seed_arrays(epoch, links)
+                        target_idx = self._target_indices(epoch, targets)
                         vector = cached[key][0] + corrector.correction(
                             seed_idx,
                             seed_weights,
                             target_idx,
-                            max_length=length,
-                            restart_prob=restart_prob,
+                            max_length=params.max_length,
+                            restart_prob=params.restart_prob,
                             targets_key=targets,
                         )
                         # Contract seam: the revalidated vector must
@@ -849,19 +758,13 @@ class SimilarityEngine:
                             check_delta_scores(
                                 vector,
                                 self._cold_vector(
-                                    epoch,
-                                    dict(links),
-                                    target_idx,
-                                    SimilarityParams(
-                                        max_length=length,
-                                        restart_prob=restart_prob,
-                                    ),
+                                    epoch, links, target_idx, params
                                 ),
                                 seam="engine.delta",
                             )
                         corrected[key] = vector
                     op.set(frontier_nnz=corrector.frontier_nnz)
-                except (DeltaFallbackError, KeyError) as exc:
+                except (DeltaFallbackError, KeyError, NodeNotFoundError) as exc:
                     dense_ok = False
                     corrected.clear()
                     self._m_delta_fallbacks.inc()
@@ -890,7 +793,7 @@ class SimilarityEngine:
         repushed: dict[tuple, PropagationResult] = {}
         kept: set[tuple] = set()
         if push_keys:
-            rho = epoch.push_state()[2]
+            _, rho = epoch.push_state()
             changed_heads = np.unique(matrix.indices[positions[changed]])
             for key in push_keys:
                 meta = cached[key][1]
@@ -902,32 +805,16 @@ class SimilarityEngine:
                     ).any()
                 ):
                     # The tracked push only ever read out-edges of its
-                    # touched nodes, and the dropped-mass accounting
-                    # only depends on ρ: with both unchanged the cached
-                    # vector is still within its error bound.
+                    # touched nodes, and its error bound only grows with
+                    # ρ: with those edges unchanged and ρ no larger, the
+                    # cached vector is still within its bound.
                     kept.add(key)
                     continue
-                backend_name, links, targets, length, restart_prob, tol = (
-                    key[:6]
-                )
+                links, targets, params = requests[key]
                 try:
-                    target_idx = np.fromiter(
-                        (index[target] for target in targets),
-                        dtype=np.int64,
-                        count=len(targets),
-                    )
-                    result = self._push_compute(
-                        epoch,
-                        dict(links),
-                        target_idx,
-                        SimilarityParams(
-                            max_length=length,
-                            restart_prob=restart_prob,
-                            backend=backend_name,
-                            push_tolerance=float(tol),
-                        ),
-                    )
-                except KeyError:
+                    target_idx = self._target_indices(epoch, targets)
+                    result = self._push_compute(epoch, links, target_idx, params)
+                except (KeyError, NodeNotFoundError):
                     continue
                 self._m_push_repushes.inc()
                 repushed[key] = result
@@ -1011,6 +898,20 @@ class SimilarityEngine:
             params.restart_prob,
             params.push_tolerance,
         )
+
+    @staticmethod
+    def _cache_request(
+        key: tuple,
+    ) -> "tuple[dict[Node, float], tuple[Node, ...], SimilarityParams]":
+        """The out-links, targets and parameters a :meth:`_cache_key` names."""
+        backend, links, targets, max_length, restart_prob, tolerance = key
+        params = SimilarityParams(
+            max_length=max_length,
+            restart_prob=restart_prob,
+            backend=backend,
+            push_tolerance=tolerance,
+        )
+        return dict(links), targets, params
 
     def _cache_get(self, epoch: _Epoch, key: tuple) -> "np.ndarray | None":
         if not self._cache_size:
@@ -1117,7 +1018,7 @@ class SimilarityEngine:
         with observe(
             "engine.push", self._h_propagate, batch=1, max_length=params.max_length
         ) as op:
-            out_matrix, _, rho = epoch.push_state()
+            out_matrix, rho = epoch.push_state()
             seed_idx, seed_weights = self._seed_arrays(epoch, links)
             result = _PUSH.propagate(
                 out_matrix,
@@ -1322,13 +1223,13 @@ class SimilarityEngine:
         repeats, in ``repr`` order.
         """
         params = params if params is not None else self.params
+        limit = k if k is not None else params.k
+        if limit < 1:
+            raise ValueError(f"k must be at least 1, got {limit}")
         links = self._seed_links(query)
         if targets is not None:
             targets = repr_order(targets)
         target_list, vector = self._serve(links, targets, params)
-        limit = k if k is not None else params.k
-        if limit < 1:
-            raise ValueError(f"k must be at least 1, got {limit}")
         return rank_vector(target_list, vector.tolist(), limit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,11 +9,8 @@ with one validated, immutable value object that is threaded through all
 of them.  It also names the propagation kernel
 (:attr:`SimilarityParams.backend`, ``"dense"`` or ``"push"``) and the
 push kernel's error budget (:attr:`SimilarityParams.push_tolerance`).
-
-The PR-1 era bare keyword arguments went through a one-release
-``DeprecationWarning`` shim and are now hard errors:
-:func:`resolve_similarity_params` raises ``TypeError`` with a migration
-hint when any of them is passed.
+A caller that passes no params gets the paper defaults,
+``SimilarityParams()``.
 """
 
 from __future__ import annotations
@@ -87,41 +84,3 @@ class SimilarityParams:
         """A copy with the given fields replaced (validated again)."""
         return replace(self, **changes)
 
-
-def resolve_similarity_params(
-    params: "SimilarityParams | None" = None,
-    *,
-    k: "int | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
-    default: "SimilarityParams | None" = None,
-) -> SimilarityParams:
-    """Resolve the effective :class:`SimilarityParams` for a call.
-
-    Returns ``params`` when given, else ``default`` (or the
-    paper-default :class:`SimilarityParams`).  The legacy bare keyword
-    arguments ``k``/``max_length``/``restart_prob`` — deprecated since
-    the params migration — are now rejected with ``TypeError`` carrying
-    a migration hint.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("k", k),
-            ("max_length", max_length),
-            ("restart_prob", restart_prob),
-        )
-        if value is not None
-    }
-    if legacy:
-        migrated = ", ".join(
-            f"{name}={value!r}" for name, value in sorted(legacy.items())
-        )
-        raise TypeError(
-            f"the legacy keyword arguments {sorted(legacy)} were removed; "
-            f"pass params=SimilarityParams({migrated}) instead "
-            f"(or params=<your params>.replace({migrated}))"
-        )
-    if params is not None:
-        return params
-    return default if default is not None else SimilarityParams()

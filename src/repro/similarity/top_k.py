@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from repro.errors import EvaluationError
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.params import SimilarityParams
 from repro.similarity.backend import get_backend
 from repro.similarity.ranking import rank_vector, repr_order
 
@@ -25,9 +25,6 @@ def rank_answers(
     params: "SimilarityParams | None" = None,
     answers: "Iterable[Node] | None" = None,
     engine=None,
-    k: "int | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
 ) -> list[tuple[Node, float]]:
     """Return the top-k ``(answer, similarity)`` pairs for ``query``.
 
@@ -39,7 +36,8 @@ def rank_answers(
         A query node of ``aug``.
     params:
         The :class:`~repro.serving.params.SimilarityParams` bundle
-        (``k``, ``max_length``, ``restart_prob``).
+        (``k``, ``max_length``, ``restart_prob``); the paper defaults
+        when omitted.
     answers:
         Candidate answers (repeats ignored); defaults to every answer
         node in the graph.
@@ -51,18 +49,14 @@ def rank_answers(
         the dense backend.  Without ``answers`` the candidates are the
         epoch's answers, so an answer attached by a publish still in
         flight is not ranked yet.
-    k, max_length, restart_prob:
-        Removed; passing any of them raises ``TypeError`` with a
-        migration hint (use ``params`` instead).
 
     Notes
     -----
     The order is :func:`~repro.similarity.ranking.rank_vector`'s.
     Raises :class:`EvaluationError` when there is no candidate to rank.
     """
-    params = resolve_similarity_params(
-        params, k=k, max_length=max_length, restart_prob=restart_prob
-    )
+    if params is None:
+        params = SimilarityParams()
     if not aug.is_query(query):
         raise EvaluationError(f"{query!r} is not a query node of the augmented graph")
     if answers is not None:

@@ -180,9 +180,9 @@ SHARED_STATE: "tuple[SharedState, ...]" = (
         name="_Epoch.push",
         owner="repro.serving.engine",
         guard="gil-atomic",
-        description="push-backend state for the epoch's matrix (out-edge "
-        "CSR, position map, rho); one rebind when the first push serve "
-        "builds it",
+        description="push-backend state built from the epoch's own matrix "
+        "(out-edge CSR, rho); one rebind when the first push serve or "
+        "revalidation builds it",
     ),
     SharedState(
         name="AugmentedGraph._query_bumps",

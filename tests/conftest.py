@@ -68,3 +68,16 @@ def fig1_expected_a3():
         + (0.33 * 0.4 * 0.5 * 0.3 * 1.0) * c * (1 - c) ** 5
         + (0.33 * 0.6 * 0.3 * 1.0) * c * (1 - c) ** 4
     )
+
+
+@pytest.fixture
+def forced_delta_fallback(monkeypatch):
+    """Every delta revalidation falls back for the test's duration.
+
+    A density budget of 0 refuses every nonzero weight patch, so the
+    engine drops its dense cache entries and the next serve recomputes
+    them: the bitwise cold path.
+    """
+    monkeypatch.setattr(
+        "repro.serving.engine.DEFAULT_DELTA_DENSITY_THRESHOLD", 0.0
+    )

@@ -157,7 +157,7 @@ def build_aug(seed=3, num_entities=14, num_answers=4, num_queries=3):
 
 class TestEndToEndAcceptance:
     def test_armed_failure_run_yields_diagnosable_bundle(
-        self, tmp_path, registry, disarmed, capsys
+        self, tmp_path, registry, disarmed, capsys, forced_delta_fallback
     ):
         """Contract violation + dense-delta fallback → complete bundle →
         ``repro-kg diag`` renders it with no live process."""
@@ -165,9 +165,7 @@ class TestEndToEndAcceptance:
         arm_recorder(flight_dir, registry=registry, min_dump_interval=0.0)
 
         aug = build_aug()
-        engine = SimilarityEngine(
-            aug, params=PARAMS, registry=registry, delta_density_threshold=0.0
-        )
+        engine = SimilarityEngine(aug, params=PARAMS, registry=registry)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)  # miss → push/propagate
         engine.scores_for_query("q0", targets)  # hit

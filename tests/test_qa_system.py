@@ -222,7 +222,3 @@ class TestQASystem:
     def test_bad_k(self, kg, corpus):
         with pytest.raises(ValueError):
             QASystem(kg, corpus.vocabulary, params=SimilarityParams(k=0))
-
-    def test_legacy_kwargs_raise(self, kg, corpus):
-        with pytest.raises(TypeError, match="SimilarityParams"):
-            QASystem(kg, corpus.vocabulary, k=8)

@@ -215,32 +215,11 @@ class TestDeltaRevalidation:
         assert stats["engine_delta_rekeys_total"] == 1
         assert_matches_cold(served, aug, "q0", targets)
 
-    def test_disabled_engine_cold_invalidates(self):
+    def test_density_fallback_cold_invalidates_bitwise(
+        self, forced_delta_fallback
+    ):
         aug, _ = build_aug()
-        engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
-        targets = sorted(aug.answer_nodes, key=repr)
-        engine.scores_for_query("q0", targets)
-        patch_edges(engine, aug, kg_edges_sorted(aug)[:2])
-        served = engine.scores_for_query("q0", targets)
-        stats = engine_series(engine)
-        assert stats["engine_cache_hits_total"] == 0
-        assert stats["engine_cache_misses_total"] == 2
-        assert stats["engine_delta_revalidations_total"] == 0
-        # Cold path is bitwise, not merely tolerance-equal.
-        cold = inverse_pdistance(
-            aug.graph,
-            "q0",
-            targets,
-            max_length=PARAMS.max_length,
-            restart_prob=PARAMS.restart_prob,
-        )
-        assert all(served[t] == cold[t] for t in targets)
-
-    def test_density_fallback_cold_invalidates_bitwise(self):
-        aug, _ = build_aug()
-        engine = SimilarityEngine(
-            aug, params=PARAMS, delta_density_threshold=0.0
-        )
+        engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
         patch_edges(engine, aug, kg_edges_sorted(aug)[:2])
@@ -491,13 +470,18 @@ class TestDeltaProperty:
     )
     def test_forced_fallback_is_bitwise_cold(self, seed, edge_pick, scale):
         aug, _ = build_aug(seed=seed % 50, num_entities=12)
-        engine = SimilarityEngine(
-            aug, params=PARAMS, delta_density_threshold=0.0
-        )
+        engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
         edges = kg_edges_sorted(aug)
-        patch_edges(engine, aug, [edges[edge_pick % len(edges)]], scale=scale)
+        # A function-scoped fixture would span every hypothesis example.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "repro.serving.engine.DEFAULT_DELTA_DENSITY_THRESHOLD", 0.0
+            )
+            patch_edges(
+                engine, aug, [edges[edge_pick % len(edges)]], scale=scale
+            )
         served = engine.scores_for_query("q0", targets)
         assert engine_series(engine)["engine_delta_fallbacks_total"] == 1
         cold = inverse_pdistance(

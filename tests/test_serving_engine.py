@@ -6,8 +6,6 @@ from its incrementally maintained matrix are **bitwise** equal to a cold
 weight updates, query attach/detach, and document additions interleave.
 """
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +18,7 @@ from repro.optimize.parallel import _init_pool, _pool_worker
 from repro.optimize.report import OptimizeReport
 from repro.optimize.single_vote import SingleVoteReport, VoteOutcome
 from repro.optimize.split_merge import SplitMergeReport
-from repro.serving import (
-    Patch,
-    SimilarityEngine,
-    SimilarityParams,
-    resolve_similarity_params,
-)
+from repro.serving import Patch, SimilarityEngine, SimilarityParams
 from repro.similarity.inverse_pdistance import (
     inverse_pdistance,
     inverse_pdistance_batch,
@@ -116,22 +109,6 @@ class TestSimilarityParams:
         with pytest.raises((ValueError, Exception)):
             SimilarityParams(**kwargs)
 
-    def test_resolve_legacy_kwargs_raise_with_migration_hint(self):
-        with pytest.raises(TypeError, match=r"SimilarityParams\(k=7\)"):
-            resolve_similarity_params(None, k=7)
-        with pytest.raises(TypeError, match="removed"):
-            resolve_similarity_params(None, max_length=4, restart_prob=0.3)
-
-    def test_resolve_both_is_error(self):
-        with pytest.raises(TypeError):
-            resolve_similarity_params(SimilarityParams(), k=7)
-
-    def test_resolve_params_passthrough_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            params = resolve_similarity_params(SimilarityParams(k=9))
-        assert params.k == 9
-
 
 class TestEngineBitwise:
     def test_fresh_engine_matches_cold(self):
@@ -152,13 +129,13 @@ class TestEngineBitwise:
             for target in targets:
                 assert served[query][target] == cold[query][target]
 
-    def test_weight_patch_matches_cold(self):
-        # delta_revalidation=False pins the cold-invalidation path: this
-        # test asserts *bitwise* equality after patches, which only the
-        # full-repropagation path guarantees (the delta path is
+    def test_weight_patch_matches_cold(self, forced_delta_fallback):
+        # The forced density fallback pins the cold-invalidation path:
+        # this test asserts *bitwise* equality after patches, which only
+        # the full-repropagation path guarantees (the delta path is
         # tolerance-equal and covered in test_serving_delta.py).
         aug, _ = build_aug()
-        engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
+        engine = SimilarityEngine(aug, params=PARAMS)
         assert_engine_matches_cold(engine, aug)
         edges = sorted(
             ((e.head, e.tail) for e in aug.kg_edges()), key=repr
@@ -234,7 +211,7 @@ class TestEngineBitwise:
         # test_serving_delta.py.  The mutations bypass publish, so every
         # persistent one is caught by the version and rebuilt.
         aug, entities = build_aug(seed=11)
-        engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
+        engine = SimilarityEngine(aug, params=PARAMS)
         kg_edges = sorted(
             ((e.head, e.tail) for e in aug.kg_edges()), key=repr
         )
@@ -280,10 +257,10 @@ class TestEngineBitwise:
 
 class TestEngineBehaviour:
     def test_cache_hits_and_version_invalidation(self):
-        # With delta revalidation off, a weight patch cold-invalidates
-        # the cache (the historical contract this test pins down).
+        # A weight write nobody announced moves the version, so the next
+        # serve rebuilds and starts from an empty cache.
         aug, _ = build_aug()
-        engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
+        engine = SimilarityEngine(aug, params=PARAMS)
         engine.scores_for_query("q0")
         before = engine_series(engine)
         engine.scores_for_query("q0")
@@ -331,6 +308,15 @@ class TestEngineBehaviour:
         engine = SimilarityEngine(aug, params=PARAMS)
         with pytest.raises(EvaluationError):
             engine.scores_for_query("a0")
+        # A bad k is refused before anything is built, served or cached.
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            engine.top_k("q0", k=0)
+        stats = engine_series(engine)
+        assert stats["engine_serves_total"] == 0
+        assert stats["engine_cache_misses_total"] == 0
+        assert stats["engine_builds_total"] == 0
+        assert stats["engine_cache_entries"] == 0
+        assert engine.epoch == 0
 
     def test_unknown_link_entity_raises(self):
         aug, _ = build_aug()

@@ -666,15 +666,15 @@ class TestConcurrentStress:
     Two comparison regimes, matching the engine's documented serve
     guarantees:
 
-    - with delta revalidation **off**, every publication drops the
-      cache and every serve recomputes from the copy-on-write matrix —
-      **bitwise** equal to the cold recompute, so the comparison is
-      exact float equality;
-    - with delta revalidation **on** (the production default), cache
-      entries surviving a publish carry the exact-within-rounding
-      delta correction (1-ulp-level, see ``tests/test_serving_delta``)
-      — the comparison allows correction rounding and nothing more.
-      A concurrency bug shows up orders of magnitude above that.
+    - with the delta density fallback **forced**, every publication
+      drops the cache and every serve recomputes from the copy-on-write
+      matrix — **bitwise** equal to the cold recompute, so the
+      comparison is exact float equality;
+    - with delta revalidation as it ships, cache entries surviving a
+      publish carry the exact-within-rounding delta correction
+      (1-ulp-level, see ``tests/test_serving_delta``) — the comparison
+      allows correction rounding and nothing more.  A concurrency bug
+      shows up orders of magnitude above that.
     """
 
     #: Delta-correction rounding budget (relative).  Torn or stale
@@ -682,18 +682,13 @@ class TestConcurrentStress:
     #: 1-ulp corrections stay under this by a wide margin.
     DELTA_RTOL = 1e-9
 
-    def _run_session(self, *, delta_revalidation):
+    def _run_session(self):
         num_queries = 16
         aug, votes = build_scenario(num_queries=num_queries)
         assert len(votes) >= 2 * BATCH_SIZE  # needs real batch traffic
 
         registry = MetricsRegistry()
-        engine = SimilarityEngine(
-            aug,
-            cache_size=4096,
-            registry=registry,
-            delta_revalidation=delta_revalidation,
-        )
+        engine = SimilarityEngine(aug, cache_size=4096, registry=registry)
         worker = OptimizerWorker(
             aug,
             engine=engine,
@@ -881,10 +876,12 @@ class TestConcurrentStress:
         assert 0 in observed_states
         assert len(ref_graphs) - 1 in observed_states
 
-    def test_thousand_asks_bitwise_equal_single_threaded_replay(self):
-        session = self._run_session(delta_revalidation=False)
+    def test_thousand_asks_bitwise_equal_single_threaded_replay(
+        self, forced_delta_fallback
+    ):
+        session = self._run_session()
         self._check_observations(*session, rtol=0.0)
 
     def test_delta_revalidated_serves_stay_within_correction_rounding(self):
-        session = self._run_session(delta_revalidation=True)
+        session = self._run_session()
         self._check_observations(*session, rtol=self.DELTA_RTOL)

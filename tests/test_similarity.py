@@ -233,11 +233,6 @@ class TestTopK:
         with pytest.raises(ValueError):
             rank_answers(aug, "q", params=SimilarityParams(k=0))
 
-    def test_rank_answers_legacy_kwargs_raise(self):
-        aug = small_augmented()
-        with pytest.raises(TypeError, match="SimilarityParams"):
-            rank_answers(aug, "q", k=2)
-
     def test_rank_answers_explicit_answer_subset_ok(self):
         aug = small_augmented()
         ranked = rank_answers(aug, "q", params=SimilarityParams(k=5), answers=["a2"])

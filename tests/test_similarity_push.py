@@ -488,6 +488,47 @@ class TestEnginePush:
             )
         engine.close()
 
+    @pytest.mark.parametrize("first_backend", ["push", "dense"])
+    def test_push_miss_after_publish_ignores_serve_history(
+        self, first_backend
+    ):
+        """An epoch's push state (out-CSR and ρ) comes from its own
+        matrix, so a push miss after a publish equals a fresh engine's
+        bitwise, whichever kernel served the epoch before it."""
+        aug, entities = build_aug(num_entities=20)
+        params = PUSH_PARAMS.replace(push_tolerance=5e-2)
+        graph = aug.graph
+        kg_out = {
+            node: [
+                (node, tail)
+                for tail in sorted(graph.successors(node))
+                if aug.is_kg_edge(node, tail)
+            ]
+            for node in entities
+        }
+        hub_edges = kg_out[max(entities, key=lambda n: (len(kg_out[n]), n))]
+        # A super-stochastic hub: ρ is its out-weight sum.
+        for edge in hub_edges:
+            graph.set_weight(*edge, 3 * graph.weight(*edge))
+        engine = SimilarityEngine(aug, params=params)
+        engine.scores_for_query("q0", params=params.replace(backend=first_backend))
+
+        def restore():
+            for edge in hub_edges:
+                graph.set_weight(*edge, graph.weight(*edge) / 3)
+            return Patch(edges=hub_edges)
+
+        engine.publish(restore)
+        fresh = SimilarityEngine(aug, params=params)
+        for query in ("q1", "q2"):
+            served = engine.scores_for_query(query)
+            want = fresh.scores_for_query(query)
+            assert {t: s.hex() for t, s in served.items()} == {
+                t: s.hex() for t, s in want.items()
+            }, query
+        engine.close()
+        fresh.close()
+
     def test_batch_routes_through_push(self):
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PUSH_PARAMS)
